@@ -16,7 +16,7 @@ the analytical numbers against the discrete-time simulator.
 Run with ``python examples/datacenter_multicore.py``.
 """
 
-from repro import solve_multiprocessor_gap, solve_multiprocessor_power
+from repro.core import solve_multiprocessor_gap, solve_multiprocessor_power
 from repro.analysis import ExperimentTable, format_table
 from repro.core.feasibility import feasible_schedule_multiproc
 from repro.generators import bursty_server_instance

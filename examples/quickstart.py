@@ -13,9 +13,8 @@ tiny hand-written instance:
 Run with ``python examples/quickstart.py``.
 """
 
-from repro import (
-    MultiprocessorInstance,
-    OneIntervalInstance,
+from repro import MultiprocessorInstance, OneIntervalInstance
+from repro.core import (
     minimize_gaps_single_processor,
     solve_multiprocessor_gap,
     solve_multiprocessor_power,

@@ -31,8 +31,8 @@ Sub-commands
     ``--profile`` to print the interval-DP engine's aggregated pruning and
     memoization statistics.
 ``bench``
-    Benchmark the interval-DP engines (v2 bottom-up vs v1 trampoline) and
-    the frozen pre-engine seed solvers over the generator families and
+    Benchmark the interval-DP engines (v2 bottom-up, v3 vectorized and v1
+    trampoline) and the frozen pre-engine seed solvers over the generator families and
     write a schema-validated JSON report (``BENCH_dp.json``); ``--quick``
     is the CI smoke matrix, ``--check`` validates an existing report's
     schema without re-running anything, ``--compare PATH`` gates the
@@ -65,6 +65,12 @@ for whichever sub-command follows: ``--backend serial|thread|process``
 selects the execution backend (equivalently ``REPRO_BACKEND``), and
 ``--cache-dir PATH`` enables the persistent solve-cache tier
 (equivalently ``REPRO_CACHE_DIR``).
+
+There is no evaluator option: the exact interval DPs run on the
+numpy-vectorized v3 evaluator when numpy imports and on the scalar v2
+evaluator otherwise, with byte-identical answers either way.  Gap solves
+always use the scalar combine; v1 and the seed solvers are references for
+``bench`` and the tests only.
 
 All solving goes through :mod:`repro.api`; this module never imports a
 solver implementation directly.
@@ -146,15 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         help="enable the persistent on-disk solve-cache tier rooted here "
         "(default: REPRO_CACHE_DIR, else disabled)",
-    )
-    from .core.interval_dp import ENGINE_CHOICES
-
-    parser.add_argument(
-        "--engine",
-        choices=ENGINE_CHOICES,
-        help="DP evaluator for the sub-command: v3 vectorized (numpy), "
-        "v2 scalar, v1 trampoline (default: auto — v3 when numpy is "
-        "installed, else v2)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -657,14 +654,6 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.backend is not None:
         configure_backend(args.backend)
-    if args.engine is not None:
-        from .core.exceptions import EngineConfigurationError
-        from .core.interval_dp import set_default_engine
-
-        try:
-            set_default_engine(args.engine)
-        except EngineConfigurationError as exc:
-            parser.error(str(exc))
     if args.cache_dir is not None:
         try:
             configure_disk_cache(args.cache_dir)

@@ -22,9 +22,9 @@ What differs between the two theorems is only the *value algebra*:
   closed-form bridging charge ``min(stretch, alpha)`` per processor active
   on both sides of an idle stretch (Lemma 2).
 
-Two evaluators share the objectives:
+Three evaluators share the objectives:
 
-* :class:`IntervalDPEngine` (**v2**, the default) evaluates **bottom-up**:
+* :class:`IntervalDPEngine` (**v2**) evaluates **bottom-up**:
   a discovery pass walks the ``(t1, t2, k)`` node graph from the root,
   propagating the set of reachable ``q`` values per node, and the
   evaluation pass then processes nodes in increasing interval-length /
@@ -35,14 +35,22 @@ Two evaluators share the objectives:
   incrementally (released-job lists extend their length-minus-one
   predecessor; split counts come from a two-pointer merge instead of
   per-column bisects).
-* :class:`TrampolineDPEngine` (**v1**, kept for differential benchmarks)
-  evaluates lazily top-down through an explicit stack of suspended
-  generators with a dict memo over packed integer state keys.
+* :class:`VectorizedDPEngine` (**v3**) is v2 with the split-combine of
+  single-label (power) nodes batched into the numpy min-plus kernels of
+  :mod:`repro.core.vector_kernels`; gap nodes keep v2's scalar combine.
+* :class:`TrampolineDPEngine` (**v1**, kept as a differential reference for
+  the tests and the bench) evaluates lazily top-down through an explicit
+  stack of suspended generators with a dict memo over packed integer state
+  keys.
 
-Both engines share Hall-condition pre-pruning (a violated prefix/suffix
+:func:`build_engine` picks the evaluator from the platform: v3 when numpy
+imports, v2 otherwise.  The three are byte-identical in value, schedule
+and base counters, so the choice never changes an answer.
+
+All engines share Hall-condition pre-pruning (a violated prefix/suffix
 count proves every boundary variant of a node empty), dominance pruning of
 the gap objective's occupancy vectors, and iterative schedule
-reconstruction; both run in O(1) native stack depth.
+reconstruction; all run in O(1) native stack depth.
 
 The solvers in :mod:`repro.core.multiproc_gap_dp` and
 :mod:`repro.core.multiproc_power_dp` are thin bindings of these objectives
@@ -59,7 +67,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import vector_kernels
 from .dp_profile import IntervalDecomposition
-from .exceptions import EngineConfigurationError, InvalidInstanceError
+from .exceptions import InvalidInstanceError
 from .jobs import MultiprocessorInstance
 from .schedule import MultiprocessorSchedule
 
@@ -69,9 +77,7 @@ __all__ = [
     "VECTOR_ENGINE_VERSION",
     "BOTTOM_UP_ENGINE_VERSION",
     "TRAMPOLINE_ENGINE_VERSION",
-    "ENGINE_CHOICES",
-    "DEFAULT_ENGINE",
-    "DEFAULT_VECTOR_MIN_WORK",
+    "POWER_VECTOR_MIN_WORK",
     "EngineStats",
     "VectorEngineStats",
     "EngineOutcome",
@@ -81,9 +87,6 @@ __all__ = [
     "VectorizedDPEngine",
     "TrampolineDPEngine",
     "build_engine",
-    "resolve_engine",
-    "set_default_engine",
-    "get_default_engine",
     "staircase_schedule",
 ]
 
@@ -100,11 +103,6 @@ VECTOR_ENGINE_VERSION = "3.0"
 BOTTOM_UP_ENGINE_VERSION = "2.0"
 #: Version of the legacy generator-trampoline evaluator.
 TRAMPOLINE_ENGINE_VERSION = "1.0"
-#: Engine selectors accepted by :func:`build_engine` and the solvers.
-#: ``"auto"`` resolves to ``"v3"`` when numpy is importable, else ``"v2"``.
-ENGINE_CHOICES = ("auto", "v3", "v2", "v1")
-#: The process-wide default selector (see :func:`set_default_engine`).
-DEFAULT_ENGINE = "auto"
 
 _MISSING = object()
 _INF = float("inf")
@@ -235,15 +233,6 @@ class GapObjective:
     """
 
     name = "gaps"
-    #: Costs are small non-negative ints: the v3 kernels may round-trip them
-    #: through float64 exactly and cast winners back with ``int()``.
-    integral_costs = True
-    #: v3 policy: dominance pruning keeps gap tables label-sparse, and the
-    #: dense kernels carry the full ``(b1, b2, label)`` product the scalar
-    #: loop skips — measured 0.67-0.74x on the n>=60 bench cases — so the
-    #: profit heuristic keeps gap nodes on the scalar combine unless an
-    #: explicit ``vector_min_work`` forces the kernels (tests do).
-    vector_min_work_default: Optional[int] = None
 
     def __init__(self, num_processors: int) -> None:
         self.p = num_processors
@@ -378,13 +367,6 @@ class PowerObjective:
     name = "power"
     #: Scalar value algebra: a single table label (0).
     num_labels = 1
-    #: Float costs: the v3 kernels must (and do) preserve summation order.
-    integral_costs = False
-    #: v3 policy: power tables are dense single-label float planes — the
-    #: regime the kernels are built for — so every branch node with at
-    #: least a couple of active splits goes through them (measured optimum
-    #: across the n>=60 bench cases; single-split nodes stay scalar).
-    vector_min_work_default: Optional[int] = 16
 
     def __init__(self, num_processors: int, alpha: float) -> None:
         if alpha < 0:
@@ -1111,7 +1093,7 @@ class IntervalDPEngine:
             if type(ch) is int:
                 # Kernel-sealed entry: (staged node, variant index, entries) —
                 # the choice decodes lazily from the staged winner slabs.
-                choice = vector_kernels.decode_choice(entry[0], ch, lab)
+                choice = vector_kernels.decode_choice(entry[0], ch)
             else:
                 choice = ch[lab]
             if choice is None:
@@ -1139,14 +1121,15 @@ class IntervalDPEngine:
 
 
 # ---------------------------------------------------------------------------
-# v1: lazy top-down evaluation through a generator trampoline
+# v3: numpy min-plus kernels for single-label (power) nodes
 # ---------------------------------------------------------------------------
-#: Default work floor (``len(splits) * P^2 * L^2``) below which a branch
-#: node stays on the scalar combine, used for objectives that don't
-#: declare their own ``vector_min_work_default``.  Tiny nodes lose more to
-#: ndarray dispatch overhead than the kernels save; the shipped objectives
-#: carry tuned per-objective defaults (see docs/performance.md).
-DEFAULT_VECTOR_MIN_WORK = 192
+#: Work floor (``len(splits) * P^2``) below which a power branch node stays
+#: on the scalar combine.  Power tables are dense single-label float planes
+#: — the regime the kernels are built for — so every node with at least a
+#: couple of active splits goes through them (measured optimum across the
+#: n>=60 bench cases; tiny nodes lose more to ndarray dispatch than the
+#: kernels save).
+POWER_VECTOR_MIN_WORK = 16
 
 
 class VectorizedDPEngine(IntervalDPEngine):
@@ -1162,8 +1145,9 @@ class VectorizedDPEngine(IntervalDPEngine):
     (:meth:`repro.core.vector_kernels.MinPlusKernel.layer_split_tables`);
     the remaining per-node work — the ``t' == t2`` right-end merge (whose
     child shares the layer), memo accounting, and sealing — then runs
-    scalar in the v2 order.  Nodes below a per-node work heuristic fall
-    back to the scalar combine loop entirely.  The kernels carry a
+    scalar in the v2 order.  Only single-label objectives (power) use the
+    kernels; gap objectives, and power nodes below a per-node work
+    heuristic, run the inherited scalar combine loop.  The kernels carry a
     byte-identity contract (same costs, bit-for-bit; same choice tuples;
     same stats counters), so v3 results — including float power values —
     are interchangeable with v2's everywhere: solve caches, differential
@@ -1175,15 +1159,14 @@ class VectorizedDPEngine(IntervalDPEngine):
     decomp, objective:
         As for :class:`IntervalDPEngine`.
     vector_min_work:
-        Work floor for the per-node heuristic (``len(splits) * P^2 * L^2``
-        must reach it for the kernels to run).  ``None`` picks the
-        objective's tuned default for ``p >= 2`` — power vectorizes nearly
-        every branch node, gap stays on the scalar combine because its
-        dominance-pruned tables are label-sparse (dense kernels measured
-        slower) — and disables the kernels entirely at ``p <= 1``, where
-        tables are so small the scalar loop always wins; pass ``0`` to
-        force vectorization everywhere (used by tests and the bench's
-        forced-kernel column).
+        Work floor for the per-node heuristic (``len(splits) * P^2`` must
+        reach it for the kernels to run).  ``None`` picks
+        :data:`POWER_VECTOR_MIN_WORK` for ``p >= 2`` and disables the
+        kernels entirely at ``p <= 1``, where tables are so small the
+        scalar loop always wins; pass ``0`` to force vectorization of every
+        power node (used by tests).  Ignored for gap objectives: their
+        dominance-pruned tables are label-sparse, so they always stay on
+        the scalar combine.
     """
 
     version = VECTOR_ENGINE_VERSION
@@ -1197,19 +1180,18 @@ class VectorizedDPEngine(IntervalDPEngine):
         super().__init__(decomp, objective)
         self.stats = VectorEngineStats()
         if vector_min_work is None and self.p >= 2:
-            # Objective-tuned default; at p <= 1 tables are so small the
-            # scalar loop always wins and the kernels stay off entirely
-            # (an explicit vector_min_work — tests — still forces them).
-            vector_min_work = getattr(
-                objective, "vector_min_work_default", DEFAULT_VECTOR_MIN_WORK
-            )
+            # At p <= 1 tables are so small the scalar loop always wins and
+            # the kernels stay off entirely (an explicit vector_min_work —
+            # tests — still forces them).
+            vector_min_work = POWER_VECTOR_MIN_WORK
         self.vector_min_work = vector_min_work
         self._kernel = (
             vector_kernels.MinPlusKernel(objective, self.p)
-            if vector_min_work is not None and vector_kernels.numpy_available()
+            if objective.num_labels == 1
+            and vector_min_work is not None
+            and vector_kernels.numpy_available()
             else None
         )
-        self._combo_size = self._P * self._P * self._labels * self._labels
 
     def solve(self) -> EngineOutcome:
         outcome = super().solve()
@@ -1240,7 +1222,7 @@ class VectorizedDPEngine(IntervalDPEngine):
         stats = self.stats
         peak = stats.peak_stack_depth
         min_work = self.vector_min_work
-        combo = self._combo_size
+        combo = self._P * self._P
         total = len(order)
         lo = 0
         while lo < total:
@@ -1303,13 +1285,15 @@ class VectorizedDPEngine(IntervalDPEngine):
         ``pre`` is the kernel's :class:`~repro.core.vector_kernels._Staged`
         record; :meth:`~repro.core.vector_kernels.MinPlusKernel.finish_node`
         applies the scalar loop's ``t' == t2`` merge (same strict ``<`` tie
-        breaks), folds dominance pruning into sealing with the scalar rule
-        and counters, and registers the node's cost slab as its dense
+        breaks), seals the node, and registers its cost slab as its dense
         mirror for the next layer's kernels.
         """
         return self._kernel.finish_node(self, nid, tables, pre)
 
 
+# ---------------------------------------------------------------------------
+# v1: lazy top-down evaluation through a generator trampoline
+# ---------------------------------------------------------------------------
 class TrampolineDPEngine:
     """Lazy top-down evaluator of the interval DP (v1, generator trampoline).
 
@@ -1701,84 +1685,17 @@ class TrampolineDPEngine:
         return assignment
 
 
-#: Process-wide default selector consumed by the solvers (and hence the
-#: façade, runtime, and service layers) when no explicit engine is passed.
-_default_engine = DEFAULT_ENGINE
+def build_engine(decomp: IntervalDecomposition, objective):
+    """Construct the evaluator this platform runs best.
 
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default engine selector; returns the new value.
-
-    Raises :class:`ValueError` for unknown selectors and
-    :class:`~repro.core.exceptions.EngineConfigurationError` when ``"v3"``
-    is forced without numpy importable.  This is what the CLI's top-level
-    ``--engine`` flag calls.
+    :class:`VectorizedDPEngine` (v3) when numpy imports, otherwise the
+    scalar :class:`IntervalDPEngine` (v2) — the graceful-degradation path
+    for installs without the ``[speed]`` extra.  Both produce byte-identical
+    values, schedules and base counters.
     """
-    global _default_engine
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
-        )
-    _require_v3_support(engine)
-    _default_engine = engine
-    return engine
-
-
-def get_default_engine() -> str:
-    """The process-wide default engine selector (``"auto"`` unless set)."""
-    return _default_engine
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Concrete evaluator name for a selector.
-
-    ``None`` reads the process-wide default; ``"auto"`` resolves to
-    ``"v3"`` when numpy is importable and ``"v2"`` otherwise — the
-    graceful-degradation path for installs without the ``[speed]`` extra.
-    """
-    if engine is None:
-        engine = _default_engine
-    if engine == "auto":
-        return "v3" if vector_kernels.numpy_available() else "v2"
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
-        )
-    return engine
-
-
-def _require_v3_support(engine: Optional[str]) -> None:
-    if engine == "v3" and not vector_kernels.numpy_available():
-        raise EngineConfigurationError(
-            "engine 'v3' requires numpy, which is not installed; "
-            "install the extra (pip install 'repro-sched[speed]') or use "
-            "engine 'auto' to fall back to the scalar v2 evaluator"
-        )
-
-
-def build_engine(
-    decomp: IntervalDecomposition,
-    objective,
-    engine: Optional[str] = None,
-    *,
-    vector_min_work: Optional[int] = None,
-):
-    """Construct an evaluator by selector.
-
-    ``"v3"`` is the vectorized evaluator (requires numpy — raises
-    :class:`~repro.core.exceptions.EngineConfigurationError` otherwise),
-    ``"v2"`` the bottom-up scalar evaluator, ``"v1"`` the legacy
-    trampoline, and ``"auto"``/``None`` resolve via :func:`resolve_engine`.
-    ``vector_min_work`` tunes the v3 per-node size heuristic and is ignored
-    by the scalar evaluators.
-    """
-    _require_v3_support(engine)
-    resolved = resolve_engine(engine)
-    if resolved == "v3":
-        return VectorizedDPEngine(decomp, objective, vector_min_work=vector_min_work)
-    if resolved == "v2":
-        return IntervalDPEngine(decomp, objective)
-    return TrampolineDPEngine(decomp, objective)
+    if vector_kernels.numpy_available():
+        return VectorizedDPEngine(decomp, objective)
+    return IntervalDPEngine(decomp, objective)
 
 
 def staircase_schedule(

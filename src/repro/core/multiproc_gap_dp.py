@@ -66,27 +66,23 @@ class MultiprocessorGapSolver:
         Use every integer time in the horizon as a candidate column instead
         of the Baptiste candidate set; only sensible for small horizons
         (used by the tests to match the brute-force search space exactly).
-    engine:
-        Evaluator selector: ``"v3"`` (vectorized, requires numpy), ``"v2"``
-        (bottom-up array-packed scalar), ``"v1"`` (legacy generator
-        trampoline, kept for benchmarks), or ``"auto"``.  ``None`` (the
-        default) resolves through the process-wide default — ``"auto"``
-        unless overridden with
-        :func:`~repro.core.interval_dp.set_default_engine`.
+
+    The evaluator is :func:`~repro.core.interval_dp.build_engine`'s pick:
+    the numpy-vectorized v3 engine when numpy imports, the scalar v2 engine
+    otherwise (identical answers either way).
     """
 
     def __init__(
         self,
         instance: Union[MultiprocessorInstance, OneIntervalInstance],
         use_full_horizon: bool = False,
-        engine: Optional[str] = None,
     ) -> None:
         if isinstance(instance, OneIntervalInstance):
             instance = instance.to_multiprocessor(1)
         self.instance = instance
         self.p = instance.num_processors
         self.decomp = IntervalDecomposition(instance, use_full_horizon=use_full_horizon)
-        self.engine = build_engine(self.decomp, GapObjective(self.p), engine=engine)
+        self.engine = build_engine(self.decomp, GapObjective(self.p))
 
     def solve(self) -> GapSolution:
         """Solve the instance, returning the optimal gap count and a schedule."""
@@ -111,9 +107,6 @@ class MultiprocessorGapSolver:
 def solve_multiprocessor_gap(
     instance: Union[MultiprocessorInstance, OneIntervalInstance],
     use_full_horizon: bool = False,
-    engine: Optional[str] = None,
 ) -> GapSolution:
     """Solve multiprocessor gap scheduling exactly (Theorem 1 convenience wrapper)."""
-    return MultiprocessorGapSolver(
-        instance, use_full_horizon=use_full_horizon, engine=engine
-    ).solve()
+    return MultiprocessorGapSolver(instance, use_full_horizon=use_full_horizon).solve()

@@ -64,13 +64,10 @@ class MultiprocessorPowerSolver:
         Non-negative wake-up (transition) cost.
     use_full_horizon:
         Use all integer times as candidate columns (tests only).
-    engine:
-        Evaluator selector: ``"v3"`` (vectorized, requires numpy), ``"v2"``
-        (bottom-up array-packed scalar), ``"v1"`` (legacy generator
-        trampoline, kept for benchmarks), or ``"auto"``.  ``None`` (the
-        default) resolves through the process-wide default — ``"auto"``
-        unless overridden with
-        :func:`~repro.core.interval_dp.set_default_engine`.
+
+    The evaluator is :func:`~repro.core.interval_dp.build_engine`'s pick:
+    the numpy-vectorized v3 engine when numpy imports, the scalar v2 engine
+    otherwise (identical answers either way).
     """
 
     def __init__(
@@ -78,7 +75,6 @@ class MultiprocessorPowerSolver:
         instance: Union[MultiprocessorInstance, OneIntervalInstance],
         alpha: float,
         use_full_horizon: bool = False,
-        engine: Optional[str] = None,
     ) -> None:
         if isinstance(instance, OneIntervalInstance):
             instance = instance.to_multiprocessor(1)
@@ -87,9 +83,7 @@ class MultiprocessorPowerSolver:
         self.p = instance.num_processors
         self.decomp = IntervalDecomposition(instance, use_full_horizon=use_full_horizon)
         # PowerObjective validates alpha >= 0.
-        self.engine = build_engine(
-            self.decomp, PowerObjective(self.p, alpha), engine=engine
-        )
+        self.engine = build_engine(self.decomp, PowerObjective(self.p, alpha))
 
     def solve(self) -> PowerSolution:
         """Solve the instance, returning the optimal power and a schedule."""
@@ -120,10 +114,9 @@ def solve_multiprocessor_power(
     instance: Union[MultiprocessorInstance, OneIntervalInstance],
     alpha: float,
     use_full_horizon: bool = False,
-    engine: Optional[str] = None,
 ) -> PowerSolution:
     """Solve multiprocessor power minimization exactly (Theorem 2 convenience wrapper)."""
     solver = MultiprocessorPowerSolver(
-        instance, alpha=alpha, use_full_horizon=use_full_horizon, engine=engine
+        instance, alpha=alpha, use_full_horizon=use_full_horizon
     )
     return solver.solve()

@@ -8,26 +8,30 @@ guarded: :func:`numpy_available` reports whether the kernels can run, and
 numpy-less environment without uninstalling anything.
 
 The kernels replace the split-combine part of the scalar v2 evaluator
-(``IntervalDPEngine._branch_tables``) under a strict **byte-identity
-contract**: they must produce the same sealed tables — same costs
-(including float bit patterns for the power objective), same choice tuples
-(same tie-breaking), and the same stats counters — as the scalar loop they
-replace.  The contract is what lets v3 results replay through the
-canonicalization/disk caches interchangeably with v2 and is enforced by
-the differential suite in ``tests/test_engine_v3.py``.
+(``IntervalDPEngine._branch_tables``) for **single-label** objectives —
+the power objective of Theorem 2, whose tables are dense float planes.
+The gap objective's occupancy-labelled tables stay on the scalar combine:
+dominance pruning keeps them label-sparse, and a dense labelled kernel
+measured 0.67-0.74x of the scalar loop (see docs/performance.md).  The
+kernels carry a strict **byte-identity contract**: they must produce the
+same sealed tables — same costs (including float bit patterns), same
+choice tuples (same tie-breaking), and the same stats counters — as the
+scalar loop they replace.  The contract is what lets v3 results replay
+through the canonicalization/disk caches interchangeably with v2 and is
+enforced by the differential suite in ``tests/test_engine_v3.py``.
 
 Batching strategy: whole layers, slab outputs, lazy decode
 ----------------------------------------------------------
-The scalar combine is a six-deep loop per node: ``split × (q, b2) group ×
-b1 × lb2 × rb1 × (ll, lr)``.  Per-node tensors are only a few thousand
-elements, so per-node kernel dispatch loses to the scalar loop outright;
-the kernels therefore batch an entire **interval-length layer** of the
-node DAG per invocation: split children live on strictly shorter
-intervals (``_expand`` never creates a same-length split child), so once
-layer ``< len`` is sealed, the split-combine of *every* node at length
-``len`` is data-ready at once.  Only the ``t' == t2`` right-end merge
-reads a same-length child (same interval, ``k - 1`` jobs); it stays
-scalar, applied per node in the v2 ``(length, k)`` evaluation order by
+The scalar combine is a nested loop per node: ``split × (q, b2) group ×
+b1 × lb2 × rb1``.  Per-node tensors are only a few thousand elements, so
+per-node kernel dispatch loses to the scalar loop outright; the kernels
+therefore batch an entire **interval-length layer** of the node DAG per
+invocation: split children live on strictly shorter intervals
+(``_expand`` never creates a same-length split child), so once layer
+``< len`` is sealed, the split-combine of *every* node at length ``len``
+is data-ready at once.  Only the ``t' == t2`` right-end merge reads a
+same-length child (same interval, ``k - 1`` jobs); it stays scalar,
+applied per node in the v2 ``(length, k)`` evaluation order by
 :meth:`MinPlusKernel.finish_node`.
 
 The dispatch- and Python-side constants are kept flat by a few rules:
@@ -39,23 +43,22 @@ The dispatch- and Python-side constants are kept flat by a few rules:
   slab into the pool; leaf, scalar-fallback, and FIFO-evicted nodes are
   rebuilt from their sealed sparse entries on demand.
 * **Bulk assembly.**  Charge matrices are deduped by identity into one
-  small stack per layer; all derived arrays (packed left planes, bridge
-  minima per ``(right child, q, charge)`` key) are built by a constant
-  number of stacked ufunc calls per layer.
+  small stack per layer; the bridge minima per ``(right child, q,
+  charge)`` key are built by a constant number of stacked ufunc calls
+  per layer.
 * **Trimmed axes.**  The mid-boundary axis runs over
   ``objective.left_b2_values()`` only.  No masking of the boundary-range
-  restrictions (``left_b2_values`` / ``right_b1_values``) is needed: for
-  both shipped objectives the excluded variants are exactly the child
-  states that are invalid or unreachable, i.e. already ``+inf`` in the
-  dense mirrors — trimming the axis merely skips all-inf planes.
+  restrictions (``left_b2_values`` / ``right_b1_values``) is needed: the
+  excluded variants are exactly the child states that are invalid or
+  unreachable, i.e. already ``+inf`` in the dense mirrors — trimming the
+  axis merely skips all-inf planes.
 * **Slab outputs, lazy decode.**  Each staged node's result is a float64
   cost slab plus an int32 winner slab over ``(q, b1, b2, label)``,
   scattered straight out of the layer reduction; the cost slab doubles
   as the node's dense mirror for parent layers.  Invalid boundary
   variants are blanked with one cached boolean mask per ``(variant
-  grid, q)``.  Sealed tables expose choice tuples through lazy
-  :class:`_GapChoices` / :class:`_PowerChoices` views that decode the
-  winner slab on access — reconstruction touches one label per node on
+  grid, q)``.  Sealed tables decode choice tuples lazily through
+  :func:`decode_choice` — reconstruction touches one label per node on
   the optimal path, so eager choice materialization would dominate.
 
 A *lane* is one ``(node, q, active split)`` triple; lanes of one layer
@@ -63,35 +66,17 @@ are concatenated with the lanes of each ``(node, q)`` pair contiguous —
 one ``np.minimum.reduceat`` over those segments reduces the whole layer.
 Layers larger than the chunk budget are processed in node-aligned chunks.
 
-Exact tie-breaks without argmin
--------------------------------
+Exact tie-breaks without argmin over packed values
+--------------------------------------------------
 The scalar loop's winner per output state is the *first* strict minimum in
-visit order ``(s, lb2, rb1, ll, lr)``.  The two value algebras recover it
-differently:
-
-* **Gap (labelled, integer costs)**: every candidate is packed as
-  ``cost * B + rank`` where ``rank`` is the candidate's visit-order index
-  and the radix ``B`` is a per-layer power of two just above the largest
-  rank in the layer.  Costs are small non-negative ints, so the packed
-  value is an exact binary integer and ``min`` over *any* grouping
-  returns the minimum cost with exactly the scalar tie-break; one
-  ``floor``/subtract pass per chunk splits the reduction back into cost
-  and winner rank.  When a certified bound keeps every finite packed
-  value below ``2**24`` the layer runs in float32 (exact in that range,
-  half the memory traffic); otherwise it falls back to float64 with
-  radix ``2**27``.  The combined output label ``max(ll, lr)`` is handled
-  with two disjoint prefix-min branches (``ll == lab, lr <= lab`` and
-  ``ll < lab, lr == lab``) concatenated along the reduced mid-boundary
-  axis, so one fused add + one reduction covers both and the ``(ll,
-  lr)`` product axis disappears.
-* **Power (scalar, float costs)**: no packing — float values must keep
-  their exact bit patterns.  The scalar loop hoists the best right
-  boundary per mid-boundary ``lb2`` out of the ``b1`` loop; the kernel
-  builds that hoisted ``bridge = charge + right`` minimum (and its
-  first-occurrence argmin) for every key of the layer in one stacked
-  pass, preserving the scalar association order so sums are
-  bit-identical.  Winning ``(s, lb2)`` rows are recovered with one
-  vectorized ``where(value == min) -> first row index`` pass per chunk.
+visit order ``(s, lb2, rb1)``.  Float values must keep their exact bit
+patterns, so nothing is packed: the scalar loop hoists the best right
+boundary per mid-boundary ``lb2`` out of the ``b1`` loop, and the kernel
+builds that hoisted ``bridge = charge + right`` minimum (and its
+first-occurrence argmin) for every key of the layer in one stacked pass,
+preserving the scalar association order so sums are bit-identical.
+Winning ``(s, lb2)`` rows are recovered with one vectorized ``where(value
+== min) -> first row index`` pass per chunk.
 """
 
 from __future__ import annotations
@@ -114,15 +99,6 @@ __all__ = [
 _DISABLED = False
 
 _INF = float("inf")
-
-#: Float64 packing radix for gap layers that fail the float32 certificate:
-#: candidate values are ``cost * _BIG + rank`` with ``rank < _BIG``.  Gap
-#: costs are bounded by the job count, so packed values stay far below
-#: 2**53 and all float64 arithmetic on them is exact.
-_BIG = 1 << 27
-
-#: Finite packed values below this bound are exact in float32.
-_F32_LIMIT = 1 << 24
 
 #: Element budget for the mirror slot pool (slot count adapts to P^3 * L).
 _POOL_ELEMENTS = 4_194_304
@@ -149,12 +125,11 @@ class _Staged:
 
     ``slab`` is the float64 cost slab over ``(q, b1, b2, label)`` (also
     what gets registered as the node's dense mirror); ``rank`` the parallel
-    int32 winner slab (gap: packed visit rank, power: node-local
-    ``s * len(left range) + offset`` row; right-end winners are
-    ``-(child variant index + 1)`` in both).  ``finite`` lists the flat
-    ``vi * L + label`` coordinates with finite split-phase cost,
-    ascending.  The remaining fields are the decode context shared by the
-    node's :class:`_GapChoices` / :class:`_PowerChoices` views.
+    int32 winner slab (node-local ``s * len(left range) + offset`` row;
+    right-end winners are ``-(child variant index + 1)``).  ``finite``
+    lists the flat variant indices with finite split-phase cost,
+    ascending.  The remaining fields are the decode context read by
+    :func:`decode_choice`.
     """
 
     __slots__ = (
@@ -165,7 +140,7 @@ class _Staged:
 
     def __init__(
         self, kernel, lookups, q_list, groups, jmax, active, idx_maps,
-        slab=None, rank=None, flat=None, rankflat=None,
+        slab, rank, flat, rankflat,
     ):
         self.kernel = kernel
         self.lookups = lookups
@@ -178,98 +153,41 @@ class _Staged:
         self.t2 = 0
         self.rm_idx: Dict[int, List[int]] = {}
         self.brarg = None
-        if slab is None:
-            # Standalone staging; layers hand in views of one batch block.
-            P, L = kernel.P, kernel.L
-            slab = _np.full((P, P, P, L), _INF)
-            rank = _np.zeros((P, P, P, L), dtype=_np.int32)
+        # Views of the layer's one batch block (see layer_split_tables).
         self.slab = slab
         self.rank = rank
-        self.flat = slab.reshape(-1, kernel.L) if flat is None else flat
-        self.rankflat = (
-            rank.reshape(-1, kernel.L) if rankflat is None else rankflat
-        )
+        self.flat = flat
+        self.rankflat = rankflat
         self.finite: List[int] = []
 
 
-def decode_choice(st: "_Staged", vi: int, lab: int):
+def decode_choice(st: "_Staged", vi: int):
     """Decode the winning choice of one sealed kernel variant on demand.
 
     Kernel-sealed table entries carry ``(st, vi, entries)`` instead of a
     materialized label-indexed choice list — reconstruction touches one
     entry per path node, so choices decode lazily from the staged winner
     slabs here rather than allocating a view object per sealed variant.
+    The kernels only run single-label objectives, so the choice is label 0's.
     """
-    cls = _PowerChoices if st.kernel.scalar else _GapChoices
-    return cls(st, vi)[lab]
-
-
-class _GapChoices:
-    """Lazy label-indexed choice view of one staged gap variant."""
-
-    __slots__ = ("st", "vi")
-
-    def __init__(self, st: _Staged, vi: int) -> None:
-        self.st = st
-        self.vi = vi
-
-    def __getitem__(self, lab: int):
-        st = self.st
-        vi = self.vi
-        if st.flat[vi, lab] == _INF:
-            return None
-        k = st.kernel
-        rank = int(st.rankflat[vi, lab])
-        if rank < 0:
-            return (
-                "right_end", st.right_end_id, -rank - 1, lab, st.jmax, st.t2,
-            )
-        P = k.P
-        s, rem = divmod(rank, k._sh_s)
-        lb2, rem = divmod(rem, k._sh_lb2)
-        rb1, rem = divmod(rem, k._sh_rb1)
-        ll, lr = divmod(rem, k.L)
-        lb2 += k._mid_lo
-        split = st.active[s]
-        q, b1 = divmod(vi // P, P)
-        b2 = vi - (q * P + b1) * P
-        return (
-            "split", st.jmax, split[0],
-            split[1], (P + st.idx_maps[s][b1]) * P + lb2, ll,
-            split[2], (q * P + rb1) * P + b2, lr,
-        )
-
-
-class _PowerChoices:
-    """Lazy label-indexed choice view of one staged power variant."""
-
-    __slots__ = ("st", "vi")
-
-    def __init__(self, st: _Staged, vi: int) -> None:
-        self.st = st
-        self.vi = vi
-
-    def __getitem__(self, lab: int):
-        st = self.st
-        vi = self.vi
-        if st.flat[vi, 0] == _INF:
-            return None
-        w = int(st.rankflat[vi, 0])
-        if w < 0:
-            return ("right_end", st.right_end_id, -w - 1, 0, st.jmax, st.t2)
-        k = st.kernel
-        P = k.P
-        s, off = divmod(w, k._mid_len)
-        lb2 = k._mid_lo + off
-        q, b1 = divmod(vi // P, P)
-        b2 = vi - (q * P + b1) * P
-        rb1 = int(st.brarg[st.rm_idx[q][s], b2, off])
-        split = st.active[s]
-        return (
-            "split", st.jmax, split[0],
-            split[1], (P + st.idx_maps[s][b1]) * P + lb2, 0,
-            split[2], (q * P + rb1) * P + b2, 0,
-        )
+    if st.flat[vi, 0] == _INF:
+        return None
+    w = int(st.rankflat[vi, 0])
+    if w < 0:
+        return ("right_end", st.right_end_id, -w - 1, 0, st.jmax, st.t2)
+    k = st.kernel
+    P = k.P
+    s, off = divmod(w, k._mid_len)
+    lb2 = k._mid_lo + off
+    q, b1 = divmod(vi // P, P)
+    b2 = vi - (q * P + b1) * P
+    rb1 = int(st.brarg[st.rm_idx[q][s], b2, off])
+    split = st.active[s]
+    return (
+        "split", st.jmax, split[0],
+        split[1], (P + st.idx_maps[s][b1]) * P + lb2, 0,
+        split[2], (q * P + rb1) * P + b2, 0,
+    )
 
 
 class _Layer:
@@ -277,8 +195,8 @@ class _Layer:
 
     __slots__ = (
         "lid_pos", "lid_list", "rm_pos", "rm_list", "cm_pos", "cm_list",
-        "split_lid", "split_edge", "lane_split", "lane_rm", "lane_s",
-        "seg_lane", "seg_qbase", "seg_mask", "nodes", "max_active",
+        "split_lid", "split_edge", "lane_split", "lane_rm",
+        "seg_lane", "seg_qbase", "seg_mask", "nodes",
     )
 
     def __init__(self) -> None:
@@ -292,34 +210,31 @@ class _Layer:
         self.split_edge: List[int] = []       # per layer-split: 1 iff t' == t1
         self.lane_split: List[int] = []       # lane -> layer-split index
         self.lane_rm: List[int] = []          # lane -> bridge stack position
-        self.lane_s: List[int] = []           # lane -> node-local active index
         self.seg_lane: List[int] = []         # segment -> first lane
         self.seg_qbase: List[int] = []        # segment -> q * P * P * L
         self.seg_mask: List[int] = []         # segment -> blank-template index
         #: (staged, seg_lo, seg_hi, lane_lo, lane_hi)
         self.nodes: List[Tuple] = []
-        self.max_active = 0
 
 
 class MinPlusKernel:
-    """Vectorized split-combine for one engine run (one objective, one ``p``).
+    """Vectorized split-combine for one single-label engine run (one ``p``).
 
     Exposes two entry points: :meth:`layer_split_tables` stages the split
     part of every qualifying branch node in one interval-length layer, and
     :meth:`finish_node` then finishes each staged node (right-end merge,
-    memo accounting, dominance pruning, sealing) in the scalar evaluation
-    order, returning tables byte-identical to the scalar loop's.
+    memo accounting, sealing) in the scalar evaluation order, returning tables byte-identical to the scalar loop's.
     """
 
     def __init__(self, objective, num_processors: int) -> None:
         if not numpy_available():  # pragma: no cover - guarded by callers
             raise RuntimeError("MinPlusKernel requires numpy")
+        if objective.num_labels != 1:  # pragma: no cover - guarded by callers
+            raise RuntimeError("MinPlusKernel requires a single-label objective")
         self.objective = objective
         self.p = num_processors
         P = self.P = num_processors + 1
-        L = self.L = objective.num_labels
-        self.scalar = L == 1
-        self.integral = bool(getattr(objective, "integral_costs", False))
+        L = self.L = 1
         # The trimmed mid-boundary axis: contiguous left_b2_values range.
         mids = list(objective.left_b2_values())
         self._mid_lo = mids[0]
@@ -328,25 +243,6 @@ class MinPlusKernel:
             raise RuntimeError(
                 "vector kernels require a contiguous left_b2_values range"
             )
-        # Visit-order rank radices over the trimmed mid axis:
-        # rank = ((s*n_mid + (lb2-lo))*P + rb1)*L*L + ll*L + lr.
-        self._sh_s = self._mid_len * P * L * L
-        self._sh_lb2 = P * L * L
-        self._sh_rb1 = L * L
-        if not self.scalar:
-            mid = _np.arange(self._mid_len, dtype=float).reshape(-1, 1) * float(
-                self._sh_lb2
-            )
-            ll = _np.arange(L, dtype=float).reshape(1, L) * float(L)
-            #: Rank part carried by the left planes: (n_mid, L).
-            self._lrank = mid + ll
-            rb1 = _np.arange(P, dtype=float).reshape(P, 1, 1) * float(
-                self._sh_rb1
-            )
-            lr = _np.arange(L, dtype=float).reshape(1, 1, L)
-            #: Rank part carried by the right planes: (P, 1, L) over
-            #: (rb1, b2, lr).
-            self._rrank = rb1 + lr
         # Boundary maps are node-independent: one per edge flag.
         lb = objective.left_boundary
         self._bmap_inner = tuple(lb(b1, False) for b1 in range(P))
@@ -372,8 +268,9 @@ class MinPlusKernel:
         self._mask_templates: List[Any] = []
         self._grid_info: Dict[int, Tuple] = {}
         self._re_pairs: Dict[Tuple, List[Tuple[int, int]]] = {}
-        #: Lane budget per chunk, sized against the fused candidate tensor.
-        per_lane = P * P * max(1, 2 * self._mid_len) * L
+        #: Lane budget per chunk: the candidate tensor is ``P * P * n_mid``
+        #: per lane; the doubled budget leaves room for its argmin companions.
+        per_lane = P * P * max(1, 2 * self._mid_len)
         self._lane_chunk = max(1, _CHUNK_ELEMENTS // per_lane)
 
     # -- mirror pool ---------------------------------------------------------------
@@ -508,17 +405,13 @@ class MinPlusKernel:
         each node's cost/winner slabs (same costs and tie-breaks as the
         scalar split loop) and ``lookups`` carrying the scalar loop's
         child-read count for that part.  The right-end merge, ``memo_hits``
-        accounting, and sealing happen in :meth:`finish_node`.  Nodes whose
-        rank field would overflow even the float64 packing are omitted
-        (the engine falls back to the scalar loop).
+        accounting, and sealing happen in :meth:`finish_node`.
         """
         columns = engine.decomp.columns
         i1s = engine._node_i1
         i2s = engine._node_i2
         plans = engine._node_plan
-        scalar = self.scalar
         charge_matrix = self.objective.charge_matrix
-        sh_s = self._sh_s
         P, L = self.P, self.L
         staged: Dict[int, _Staged] = {}
         lay = _Layer()
@@ -527,7 +420,7 @@ class MinPlusKernel:
         cm_list = lay.cm_list
         rm_pos = lay.rm_pos
         rm_list = lay.rm_list
-        lane_split, lane_rm, lane_s = lay.lane_split, lay.lane_rm, lay.lane_s
+        lane_split, lane_rm = lay.lane_split, lay.lane_rm
         # One slab/rank block per layer; each node's _Staged gets views.
         nb = len(nids)
         big_slab = _np.full((nb, P, P, P, L), _INF)
@@ -560,8 +453,6 @@ class MinPlusKernel:
                 idx_maps.append(self._bmap_edge if at_edge else self._bmap_inner)
                 edges.append(1 if at_edge else 0)
             na = len(active)
-            if not scalar and na * sh_s >= _BIG:
-                continue  # rank overflow: leave to the scalar fallback
             st = _Staged(
                 self, lookups, q_list, groups, jmax, active, idx_maps,
                 big_slab[ni], big_rank[ni],
@@ -572,8 +463,6 @@ class MinPlusKernel:
             staged[nid] = st
             if not active:
                 continue
-            if na > lay.max_active:
-                lay.max_active = na
             seg_lo = len(lay.seg_lane)
             lane_lo = len(lane_split)
             lid_pos = lay.lid_pos
@@ -588,7 +477,6 @@ class MinPlusKernel:
                 lay.split_lid.append(pos)
             lay.split_edge.extend(edges)
             srange = range(split_base, split_base + na)
-            sloc = range(na)
             # Bridge keys per (q, s): dedupe the charge matrix by identity
             # first (objectives cache and reuse them), then the bridge row
             # by (right child, q, charge).
@@ -617,7 +505,6 @@ class MinPlusKernel:
                     key_row.append(pos)
                 lane_rm.extend(key_row)
                 lane_split.extend(srange)
-                lane_s.extend(sloc)
                 st.rm_idx[q] = key_row
             lay.nodes.append(
                 (st, seg_lo, len(lay.seg_lane), lane_lo, len(lane_split))
@@ -664,59 +551,19 @@ class MinPlusKernel:
         P, L = self.P, self.L
         n_mid = self._mid_len
         LQ, RQ, CHT = self._gather_stacks(lay, tables)
-        nl, nk = len(lay.lid_list), len(lay.rm_list)
-        brarg = None
-        if self.scalar:
-            # Power: float64 throughout, no packing.  Bridge per key:
-            # B[rb1, b2, mid] = charge[lb2][rb1] + right[rb1, b2]; reduce
-            # over rb1 (first-occurrence argmin matches the scalar loop).
-            B = CHT[:, :, None, :] + RQ[:, :, :, 0][:, :, :, None]
-            R12 = B.min(axis=1)
-            brarg = B.argmin(axis=1).astype(np.int32)
-            # Row P is the all-inf "no left boundary" pad row gathered for
-            # b1 values outside the left boundary map.
-            LA = np.full((nl, P + 1, n_mid), _INF)
-            LA[:, :P] = LQ[:, :, :, 0]
-            dt = np.float64
-            bigv = 0.0
-        else:
-            # Gap: pick the packing radix and dtype for this layer.  The
-            # certificate bounds every finite packed candidate: costs add
-            # (left + charge + right), ranks stay below the radix, and a
-            # +2 pad absorbs the cost sum's rank carry.
-            rank_cap = lay.max_active * self._sh_s
-            bigv = float(1 << max(1, int(max(1, rank_cap - 1)).bit_length()))
-            max_l = float(np.max(LQ, initial=0.0, where=np.isfinite(LQ)))
-            max_r = float(np.max(RQ, initial=0.0, where=np.isfinite(RQ)))
-            max_c = float(CHT.max()) if nk else 0.0
-            if (max_l + max_r + max_c + 2.0) * bigv < float(_F32_LIMIT):
-                dt = np.float32
-            else:
-                dt = np.float64
-                bigv = float(_BIG)
-            LPK = (LQ * bigv + self._lrank).astype(dt, copy=False)
-            # Fused left stack over the doubled mid axis: [exact-ll | the
-            # strict ll-prefix minima, shifted one label up].  Row P is the
-            # all-inf "no left boundary" row fancy-gathered for b1 values
-            # outside the left map.
-            LA = np.full((nl, P + 1, 2 * n_mid, L), _INF, dtype=dt)
-            LA[:, :P, :n_mid] = LPK
-            LACC = np.minimum.accumulate(LPK, axis=3)
-            LA[:, :P, n_mid:, 1:] = LACC[..., :-1]
-            # Bridge stack over the same doubled axis: Z[key, rb1, b2, mid,
-            # lr] packs charge + right; reduce rb1, then pair the exact-ll
-            # branch with the lr-prefix minima (RACC) and the prefix-ll
-            # branch with exact lr (RM) — concat order must match LA's.
-            RPK = (RQ * bigv + self._rrank).astype(dt, copy=False)
-            Z = (CHT * bigv).astype(dt, copy=False)[:, :, None, :, None] + RPK[
-                :, :, :, None, :
-            ]
-            RM = Z.min(axis=1)
-            RACC = np.minimum.accumulate(RM, axis=3)
-            R12 = np.concatenate((RACC, RM), axis=2)
+        nl = len(lay.lid_list)
+        # Float64 throughout, no packing.  Bridge per key:
+        # B[rb1, b2, mid] = charge[lb2][rb1] + right[rb1, b2]; reduce over
+        # rb1 (first-occurrence argmin matches the scalar loop).
+        B = CHT[:, :, None, :] + RQ[:, :, :, 0][:, :, :, None]
+        BR = B.min(axis=1)
+        brarg = B.argmin(axis=1).astype(np.int32)
+        # Row P is the all-inf "no left boundary" pad row gathered for b1
+        # values outside the left boundary map.
+        LA = np.full((nl, P + 1, n_mid), _INF)
+        LA[:, :P] = LQ[:, :, :, 0]
         lane_split = np.asarray(lay.lane_split, dtype=np.intp)
         lane_rm = np.asarray(lay.lane_rm, dtype=np.intp)
-        lane_s = np.asarray(lay.lane_s)
         split_lid = np.asarray(lay.split_lid, dtype=np.intp)
         split_rows = self._rows_by_edge[np.asarray(lay.split_edge, dtype=np.intp)]
         mask_stack = self._mask_templates
@@ -745,15 +592,9 @@ class MinPlusKernel:
                 [lane - chunk_lane_lo for lane in seg_lane[seg_lo:seg_hi]],
                 dtype=np.intp,
             )
-            if self.scalar:
-                cost, rank = self._power_chunk(
-                    LA, R12, si, rw, ri, starts, lane_hi - chunk_lane_lo
-                )
-            else:
-                sh = (lane_s[chunk_lane_lo:lane_hi] * float(self._sh_s)).astype(
-                    dt
-                )[:, None, None, None]
-                cost, rank = self._gap_chunk(LA, R12, si, rw, ri, sh, starts, bigv)
+            cost, rank = self._power_chunk(
+                LA, BR, si, rw, ri, starts, lane_hi - chunk_lane_lo
+            )
             # Blank structurally invalid variants, then extract the finite
             # coordinates and scatter each node's rows into its slabs.
             nsegs = seg_hi - seg_lo
@@ -779,30 +620,6 @@ class MinPlusKernel:
                 st.rank[q_arr] = rank[a:b].reshape(-1, P, P, L)
                 st.brarg = brarg
             at = end
-
-    def _gap_chunk(self, LA, R12, si, rw, ri, sh, starts, bigv):
-        """Packed gap reduction over one node-aligned chunk of lanes.
-
-        Output label ``lab = max(ll, lr)`` is covered by two disjoint
-        branches — exact left label paired with the right prefix minimum,
-        and the shifted strict left prefix paired with the exact right
-        label — already concatenated along the doubled mid axis of ``LA``
-        and ``R12``, so one fused add and one axis reduction handle both
-        while every candidate's full visit-order rank survives.  Returns
-        per-segment ``(cost, rank)`` arrays shaped ``(nsegs, P, P, L)``.
-        """
-        np = _np
-        A12 = LA[si[:, None], rw]
-        A12 += sh
-        # cand[lane, b1, b2, 2*mid, lab]
-        cand = A12[:, :, None, :, :] + R12[ri][:, None]
-        reduced = np.minimum.reduceat(cand.min(axis=3), starts, axis=0).astype(
-            np.float64, copy=False
-        )
-        cost = np.floor(reduced * (1.0 / bigv))
-        with np.errstate(invalid="ignore"):
-            rank = (reduced - cost * bigv).astype(np.int32)
-        return cost, rank
 
     def _power_chunk(self, LA, BR, si, rw, ri, starts, nlanes):
         """Float power reduction over one node-aligned chunk of lanes.
@@ -857,20 +674,16 @@ class MinPlusKernel:
 
         Applied per node in the v2 ``(length, k)`` order — the ``t' == t2``
         child lives in the same layer with ``k - 1`` jobs, so it is sealed
-        (merged and pruned) before any node that reads it.  The merge is
-        the scalar loop's block applied over a plain-list mirror of the
-        cost slab; dominance pruning runs inline in the entry scan with
-        exactly the scalar rule and counters.
+        before any node that reads it.  The merge is the scalar loop's block
+        applied over a plain-list mirror of the cost slab (same strict ``<``
+        tie-breaks); with one label there is no dominance rule to apply.
         """
         obj = engine.objective
-        P, L = self.P, self.L
+        P = self.P
         stats = engine.stats
         lookups = st.lookups
         flat = st.flat
-        scalar = self.scalar
-        rows = flat.ravel().tolist() if scalar else flat.tolist()
-        integral = self.integral
-        updates: List[Tuple[int, float, int]] = []  # (coord, cost, rank code)
+        rows = flat.ravel().tolist()
         extra: List[int] = []
         right_end_id = st.right_end_id
         if right_end_id is not None:
@@ -892,92 +705,32 @@ class MinPlusKernel:
                             pairs.append((vi, (cq * P + cb1) * P + cb2))
                     self._re_pairs[pkey] = pairs
                 lookups += len(pairs)
-                if scalar:
-                    ravel = rravel = None
-                    for vi, cvi in pairs:
-                        e = child_tables[cvi]
-                        if e is None:
-                            continue
-                        cost = e[2][0][1]
-                        if cost < rows[vi]:
-                            if rows[vi] == _INF:
-                                extra.append(vi)
-                            rows[vi] = cost
-                            if ravel is None:
-                                ravel = flat.reshape(-1)
-                                rravel = st.rankflat.reshape(-1)
-                            ravel[vi] = cost
-                            rravel[vi] = -cvi - 1
-                else:
-                    for vi, cvi in pairs:
-                        e = child_tables[cvi]
-                        if e is None:
-                            continue
-                        row = rows[vi]
-                        for lab, cost in e[2]:
-                            cur = row[lab]
-                            if cost < cur:
-                                if cur == _INF:
-                                    extra.append(vi * L + lab)
-                                row[lab] = cost
-                                updates.append((vi * L + lab, cost, -cvi - 1))
+                ravel = rravel = None
+                for vi, cvi in pairs:
+                    e = child_tables[cvi]
+                    if e is None:
+                        continue
+                    cost = e[2][0][1]
+                    if cost < rows[vi]:
+                        if rows[vi] == _INF:
+                            extra.append(vi)
+                        rows[vi] = cost
+                        if ravel is None:
+                            ravel = flat.reshape(-1)
+                            rravel = st.rankflat.reshape(-1)
+                        ravel[vi] = cost
+                        rravel[vi] = -cvi - 1
         stats.memo_hits += lookups
         stats.states_computed += len(st.q_list) * P * P
+        # Seal each finite variant directly (order is irrelevant here:
+        # parents address the list by variant index).
         coords = st.finite
-        if scalar:
-            # L == 1 fast path: one label, no dominance rule — seal each
-            # finite variant directly (order is irrelevant here: parents
-            # address the list by variant index).
-            if extra:
-                coords = coords + extra
-            out = [None] * (P * P * P)
-            for vi in coords:
-                out[vi] = (st, vi, ((0, rows[vi]),))
-            self._pool[self._alloc_slot(nid)] = st.slab
-            return out if coords else None
-        if updates:
-            ravel = flat.reshape(-1)
-            rravel = st.rankflat.reshape(-1)
-            for coord, cost, code in updates:
-                ravel[coord] = cost
-                rravel[coord] = code
         if extra:
-            coords = sorted(coords + extra)
+            coords = coords + extra
         out: List[Optional[Tuple]] = [None] * (P * P * P)
-        any_entry = False
-        drops = 0
-        blank: List[int] = []
-        cur_vi = -1
-        entries: List[Tuple] = []
-        best_corrected = None
-        for coord in coords:
-            vi, lab = divmod(coord, L)
-            if vi != cur_vi:
-                if entries:
-                    out[cur_vi] = (st, cur_vi, tuple(entries))
-                    any_entry = True
-                cur_vi = vi
-                entries = []
-                best_corrected = None
-            v = rows[vi][lab]
-            if v == _INF:
-                continue
-            cost = int(v) if integral else v
-            if lab >= 1:
-                corrected = cost - lab
-                if best_corrected is not None and corrected >= best_corrected:
-                    drops += 1
-                    blank.append(coord)
-                    continue
-                best_corrected = corrected
-            entries.append((lab, cost))
-        if entries:
-            out[cur_vi] = (st, cur_vi, tuple(entries))
-            any_entry = True
-        if drops:
-            stats.dominance_dropped += drops
-            flat.reshape(-1)[blank] = _INF
+        for vi in coords:
+            out[vi] = (st, vi, ((0, rows[vi]),))
         # The cost slab *is* the node's dense mirror for parent layers
-        # (post-merge, post-prune, invalid variants blanked).
+        # (post-merge, invalid variants blanked).
         self._pool[self._alloc_slot(nid)] = st.slab
-        return out if any_entry else None
+        return out if coords else None

@@ -27,10 +27,18 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import vector_kernels
+from ..core.dp_profile import IntervalDecomposition
 from ..core.jobs import MultiprocessorInstance
-from ..core.multiproc_gap_dp import MultiprocessorGapSolver
-from ..core.multiproc_power_dp import MultiprocessorPowerSolver
-from ..core.interval_dp import ENGINE_NAME, ENGINE_VERSION
+from ..core.interval_dp import (
+    ENGINE_NAME,
+    ENGINE_VERSION,
+    GapObjective,
+    IntervalDPEngine,
+    PowerObjective,
+    TrampolineDPEngine,
+    VectorizedDPEngine,
+    staircase_schedule,
+)
 from ..generators import (
     clustered_release_instance,
     random_multiprocessor_instance,
@@ -365,17 +373,27 @@ def time_callable(
     }
 
 
-def _engine_solve(case: BenchCase, instance, engine: str = "v2"):
-    """Solve with an engine-backed solver; returns (feasible, value, stats)."""
+def _engine_solve(case: BenchCase, instance, engine_cls=IntervalDPEngine):
+    """Solve with one evaluator class; returns (feasible, value, stats).
+
+    Does what the solver classes do — decomposition, objective, engine run,
+    staircase schedule — but with the evaluator named explicitly, so the
+    v1, v2 and v3 columns time their own engine whatever numpy offers.
+    """
+    decomp = IntervalDecomposition(instance)
     if case.objective == "gaps":
-        solver = MultiprocessorGapSolver(instance, engine=engine)
-        solution = solver.solve()
-        value = solution.num_gaps
+        objective = GapObjective(instance.num_processors)
     else:
-        solver = MultiprocessorPowerSolver(instance, alpha=case.alpha, engine=engine)
-        solution = solver.solve()
-        value = solution.power
-    return solution.feasible, value, solver.engine.stats.as_dict()
+        objective = PowerObjective(instance.num_processors, case.alpha)
+    engine = engine_cls(decomp, objective)
+    outcome = engine.solve()
+    value = None
+    if outcome.feasible:
+        staircase_schedule(instance, outcome.assignment)
+        value = (
+            int(outcome.value) if case.objective == "gaps" else float(outcome.value)
+        )
+    return outcome.feasible, value, engine.stats.as_dict()
 
 
 def _decomposed_solve(case: BenchCase, instance):
@@ -564,19 +582,27 @@ def _run_case(payload: Tuple) -> Dict:
     speedup_vs_v2 = None
     v3_stats = None
     if compare_v3 and vector_kernels.numpy_available():
-        v3_feasible, v3_value, v3_stats = _engine_solve(case, instance, engine="v3")
+        v3_feasible, v3_value, v3_stats = _engine_solve(
+            case, instance, VectorizedDPEngine
+        )
         _assert_agreement(case, "engine v3", feasible, value, (v3_feasible, v3_value))
         v3_timing = time_callable(
-            lambda: _engine_solve(case, instance, engine="v3"), repeats, warmup
+            lambda: _engine_solve(case, instance, VectorizedDPEngine),
+            repeats,
+            warmup,
         )
         speedup_vs_v2 = engine_timing["median"] / max(v3_timing["median"], 1e-12)
     v1_timing = None
     speedup_vs_v1 = None
     if compare_v1 and case.v1_baseline:
-        v1_feasible, v1_value, _v1_stats = _engine_solve(case, instance, engine="v1")
+        v1_feasible, v1_value, _v1_stats = _engine_solve(
+            case, instance, TrampolineDPEngine
+        )
         _assert_agreement(case, "engine v1", feasible, value, (v1_feasible, v1_value))
         v1_timing = time_callable(
-            lambda: _engine_solve(case, instance, engine="v1"), repeats, warmup
+            lambda: _engine_solve(case, instance, TrampolineDPEngine),
+            repeats,
+            warmup,
         )
         speedup_vs_v1 = v1_timing["median"] / max(engine_timing["median"], 1e-12)
     baseline_timing = None

@@ -17,11 +17,12 @@ three interchangeable :class:`Backend` implementations:
     streams.  The canonical solve cache is lock-protected for exactly this
     backend.
 ``process``
-    A ``concurrent.futures.ProcessPoolExecutor``.  True parallelism for
-    CPU-bound DP evaluation; task functions and payloads must be picklable
-    (every façade value object is).  Worker processes inherit the parent's
-    configuration on fork and are re-synchronized explicitly by the stream
-    layer where it matters (the on-disk cache tier).
+    The process-wide warm :class:`~repro.runtime.pool.WorkerPool`.  True
+    parallelism for CPU-bound DP evaluation; task functions and payloads
+    must be picklable (every façade value object is).  Workers are spawned
+    once, reused across sessions, and re-synchronized with the parent's
+    configuration (the on-disk cache tier) by generation-stamped config
+    snapshots.
 
 Selection is layered, most explicit wins:
 
@@ -52,7 +53,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "ColdProcessBackend",
     "BACKEND_ENV_VAR",
     "available_backends",
     "register_backend",
@@ -281,52 +281,21 @@ class ProcessBackend(Backend):
     Sessions draw warm workers from the process-wide
     :class:`~repro.runtime.pool.WorkerPool` — interpreters spawned once
     and reused across sessions — and support hard preemption
-    (``can_kill``) plus the any-time incumbent channel.  Pass
-    ``warm=False`` (or use the registered ``process-cold`` backend) to
-    get the historical fresh-``ProcessPoolExecutor``-per-session
-    behavior; the stream bench races the two to keep the warm-pool win
-    measured.
+    (``can_kill``) plus the any-time incumbent channel.
     """
 
     name = "process"
 
-    def __init__(self, workers: Optional[int] = None, warm: bool = True) -> None:
-        super().__init__(workers)
-        self.warm = bool(warm)
-
     def session(self, fn: Callable, chunksize: int = 1) -> ExecutionSession:
-        if self.warm:
-            from .pool import get_worker_pool
+        from .pool import get_worker_pool
 
-            return get_worker_pool().session(
-                fn, self.effective_workers, chunksize
-            )
-        from concurrent.futures import ProcessPoolExecutor
-
-        return _ExecutorSession(
-            fn, ProcessPoolExecutor(max_workers=self.workers), chunksize
-        )
-
-
-class ColdProcessBackend(ProcessBackend):
-    """The pre-pool process backend: a fresh executor per session.
-
-    Exists as the measured baseline for the warm pool (``bench
-    --stream`` reports both) and as an escape hatch when a caller wants
-    process isolation without leaving warm workers behind.
-    """
-
-    name = "process-cold"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__(workers, warm=False)
+        return get_worker_pool().session(fn, self.effective_workers, chunksize)
 
 
 _BACKENDS: Dict[str, Type[Backend]] = {
     SerialBackend.name: SerialBackend,
     ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
-    ColdProcessBackend.name: ColdProcessBackend,
 }
 
 #: Process-wide default backend name installed by :func:`configure_backend`.

@@ -11,7 +11,9 @@ API surface (all JSON)::
 
     POST /v1/jobs               submit {"problem": <tagged>, "client_id",
                                 "priority", "solver"} -> 202 {"id", "state"}
-                                (429 structured denial, 503 while draining)
+                                (400 bad body or Content-Length, 413 body
+                                over MAX_BODY_BYTES, 429 structured denial,
+                                503 while draining)
     GET  /v1/jobs/<id>          status view             -> 200 (404 unknown)
     GET  /v1/jobs/<id>/result   result envelope         -> 200 when terminal
                                 with a result, 202 while pending, 410 when
@@ -51,9 +53,23 @@ from .stats import TaskMetrics, operational_stats
 
 __all__ = ["ServiceServer", "start_service"]
 
+#: Largest request body the service reads (bytes).  A submission is one
+#: problem — a few hundred kilobytes even at thousands of jobs — so this
+#: only refuses bodies no legitimate client sends.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 
 class _BadRequest(ValueError):
-    """Maps to a 400 with its message in the body."""
+    """Maps to ``status`` (400 unless overridden) with its message in the body.
+
+    ``close`` marks errors raised before the body was read: the connection
+    cannot be reused, because its framing is unknown or unread.
+    """
+
+    def __init__(self, message: str, status: int = 400, close: bool = False):
+        super().__init__(message)
+        self.status = status
+        self.close = close
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -83,7 +99,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            raise _BadRequest(f"invalid Content-Length: {header!r}", close=True)
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                status=413,
+                close=True,
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise _BadRequest("request body must be a JSON object")
@@ -138,7 +164,9 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 self._submit()
             except _BadRequest as exc:
-                self._send(400, {"error": str(exc)})
+                # Sending "Connection: close" also ends the keep-alive loop.
+                headers = {"Connection": "close"} if exc.close else None
+                self._send(exc.status, {"error": str(exc)}, headers)
             return
         job_id, verb = self._job_path()
         if job_id is not None and verb == "cancel":

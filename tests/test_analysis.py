@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import MultiprocessorInstance, OneIntervalInstance, Schedule, solve_multiprocessor_gap
+from repro import MultiprocessorInstance, OneIntervalInstance, Schedule
+from repro.core import solve_multiprocessor_gap
 from repro.analysis import (
     ALL_EXPERIMENTS,
     ExperimentTable,

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro import (
-    MultiprocessorInstance,
-    OneIntervalInstance,
-    minimize_gaps_single_processor,
-    minimize_power_single_processor,
-)
+from repro import MultiprocessorInstance, OneIntervalInstance
+from repro.core import minimize_gaps_single_processor, minimize_power_single_processor
 from repro.core.brute_force import brute_force_gap_single
 from repro.core.exceptions import InfeasibleInstanceError
 

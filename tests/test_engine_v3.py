@@ -3,14 +3,16 @@
 The v3 kernels carry a byte-identity contract with the v2 scalar evaluator
 (same costs bit-for-bit, same choice tuples, same base stats counters), so
 everything here compares *exact* equality — never approximate: the façade
-envelopes across v1/v2/v3, a hypothesis sweep over random instances for
-both objectives with the kernels forced on, the scalar fallback with numpy
-masked out, and the disk-cache replay of v3 engine metadata (including the
-kernel-engagement counters) across a simulated process boundary.
+envelopes with numpy on (v3) and masked out (v2), the v1 trampoline at
+engine level, a hypothesis sweep over random instances with the power
+kernels forced on (gap engines must never build one), the scalar fallback
+with numpy masked out, and the disk-cache replay of v3 engine metadata
+(including the kernel-engagement counters) across a simulated process
+boundary.
 
 Every test in this file runs on installs without numpy too: v3-specific
-paths degrade to asserting the guard rails (``EngineConfigurationError``,
-``"auto"`` resolving to ``"v2"``) instead of being skipped wholesale.
+paths degrade to asserting the fallback (``build_engine`` returning the
+scalar v2 evaluator) instead of being skipped wholesale.
 """
 
 import json
@@ -19,22 +21,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import Problem, solve, to_json
+from repro.api import MultiprocessorInstance, Problem, solve, to_json
 from repro.api import clear_solve_cache, configure_solve_cache
 from repro.core import vector_kernels
 from repro.core.dp_profile import IntervalDecomposition
-from repro.core.exceptions import EngineConfigurationError
 from repro.core.interval_dp import (
+    BOTTOM_UP_ENGINE_VERSION,
     ENGINE_VERSION,
     VECTOR_ENGINE_VERSION,
     GapObjective,
     IntervalDPEngine,
     PowerObjective,
+    TrampolineDPEngine,
     VectorizedDPEngine,
     build_engine,
-    get_default_engine,
-    resolve_engine,
-    set_default_engine,
 )
 from repro.generators import (
     random_multiprocessor_instance,
@@ -53,13 +53,11 @@ FAST = settings(
 
 @pytest.fixture(autouse=True)
 def clean_engine_state():
-    """Every test starts and ends on the default selector with caches off."""
-    saved = get_default_engine()
+    """Every test starts and ends with the disk tier off and a cold memory tier."""
     configure_disk_cache(None)
     configure_solve_cache(256)
     clear_solve_cache()
     yield
-    set_default_engine(saved)
     configure_disk_cache(None)
     configure_solve_cache(256)
     clear_solve_cache()
@@ -103,28 +101,54 @@ def build_decomp(instance):
     return IntervalDecomposition(instance)
 
 
+def engine_outcome(engine_cls, problem):
+    """Run one evaluator class directly on a façade problem's instance."""
+    instance = problem.instance
+    if not isinstance(instance, MultiprocessorInstance):
+        instance = instance.to_multiprocessor(1)
+    p = instance.num_processors
+    if problem.objective == "gaps":
+        objective = GapObjective(p)
+    else:
+        objective = PowerObjective(p, problem.alpha)
+    return engine_cls(build_decomp(instance), objective).solve()
+
+
+def facade_sweep(problems):
+    """Envelope/meta pairs through ``solve()`` with a cold memory tier."""
+    clear_solve_cache()  # no evaluator may answer from another's cache
+    pairs = [envelope_and_engine_meta(p) for p in problems]
+    return [env for env, _meta in pairs], [meta for _env, meta in pairs]
+
+
 # ---------------------------------------------------------------------------
 # the differential workload: v3 == v2 == v1, byte for byte
 # ---------------------------------------------------------------------------
 class TestEnvelopeIdentity:
-    def engine_sweep(self):
-        engines = ["v1", "v2"]
-        if numpy_installed:
-            engines.append("v3")
-        return engines
-
-    def test_all_engines_agree_byte_for_byte(self):
+    def test_all_engines_agree_byte_for_byte(self, monkeypatch):
+        problems = differential_workload()
         envelopes = {}
         metas = {}
-        for engine in self.engine_sweep():
-            set_default_engine(engine)
-            clear_solve_cache()  # no engine may answer from another's cache
-            pair = [envelope_and_engine_meta(p) for p in differential_workload()]
-            envelopes[engine] = [env for env, _meta in pair]
-            metas[engine] = [meta for _env, meta in pair]
-        assert envelopes["v2"] == envelopes["v1"]
+        # v3 is what solve() runs when numpy imports; masking numpy out
+        # makes the same façade path run v2.
+        if numpy_installed:
+            envelopes["v3"], metas["v3"] = facade_sweep(problems)
+        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
+        envelopes["v2"], metas["v2"] = facade_sweep(problems)
+        assert all(meta["version"] == "2.0" for meta in metas["v2"])
+        # v1 has no façade route: compare it with v2 at engine level, where
+        # value and assignment determine everything the envelope carries.
+        for problem in problems:
+            v1 = engine_outcome(TrampolineDPEngine, problem)
+            v2 = engine_outcome(IntervalDPEngine, problem)
+            assert v1.feasible == v2.feasible
+            assert repr(v1.value) == repr(v2.value)
+            assert v1.assignment == v2.assignment
         if numpy_installed:
             assert envelopes["v3"] == envelopes["v2"]
+            assert all(
+                meta["version"] == VECTOR_ENGINE_VERSION for meta in metas["v3"]
+            )
             # The kernels account work analytically: the base counters of a
             # v3 run match the scalar evaluator's exactly; only the
             # kernel-dispatch counters are extra.
@@ -134,16 +158,16 @@ class TestEnvelopeIdentity:
                     v3_stats.pop(key)
                 assert v3_stats == v2_meta["stats"]
 
-    def test_engine_meta_names_the_engine(self):
-        set_default_engine("v2")
-        _env, meta = envelope_and_engine_meta(differential_workload(1)[0])
-        assert meta["version"] == "2.0"
+    def test_engine_meta_names_the_engine(self, monkeypatch):
         if numpy_installed:
-            set_default_engine("v3")
-            clear_solve_cache()
             _env, meta = envelope_and_engine_meta(differential_workload(1)[0])
             assert meta["version"] == VECTOR_ENGINE_VERSION
             assert meta["numpy"] == vector_kernels.numpy_version()
+        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
+        clear_solve_cache()
+        _env, meta = envelope_and_engine_meta(differential_workload(1)[0])
+        assert meta["version"] == BOTTOM_UP_ENGINE_VERSION
+        assert "numpy" not in meta
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +181,19 @@ class TestPropertyIdentity:
         decomp_v3 = build_decomp(instance)
         scalar = IntervalDPEngine(decomp_v2, objective_factory(p))
         # vector_min_work=0 forces the kernels even where the size
-        # heuristic would fall back, so the sweep exercises the dense
-        # gap kernels too, not just the power default.
-        vector = build_engine(
-            decomp_v3, objective_factory(p), "v3", vector_min_work=0
+        # heuristic would fall back (and even at p = 1).
+        vector = VectorizedDPEngine(
+            decomp_v3, objective_factory(p), vector_min_work=0
         )
-        assert isinstance(vector, VectorizedDPEngine)
         a, b = scalar.solve(), vector.solve()
         assert a.feasible == b.feasible
         assert repr(a.value) == repr(b.value)  # bit-identical, incl. floats
         assert a.assignment == b.assignment
-        # With the kernels forced on, every branch node that combines
-        # split children goes through them — none may silently fall back
-        # (tiny instances legitimately have no branch nodes at all).
-        assert vector.stats.vector_fallback_nodes == 0
+        v3_stats = vector.stats.as_dict()
+        for key in ("vector_nodes", "vector_fallback_nodes", "vector_splits"):
+            v3_stats.pop(key)
+        assert v3_stats == scalar.stats.as_dict()
+        return vector
 
     @FAST
     @given(
@@ -186,7 +209,12 @@ class TestPropertyIdentity:
             max_window=4,
             seed=seed,
         )
-        self.assert_engines_identical(instance, lambda p: GapObjective(p))
+        vector = self.assert_engines_identical(instance, lambda p: GapObjective(p))
+        # Gap tables are occupancy-labelled: no kernel is built even when
+        # forced, so every branch node runs the scalar combine.
+        assert vector._kernel is None
+        assert vector.stats.vector_nodes == 0
+        assert vector.stats.vector_splits == 0
 
     @FAST
     @given(
@@ -203,7 +231,14 @@ class TestPropertyIdentity:
             max_window=4,
             seed=seed,
         )
-        self.assert_engines_identical(instance, lambda p: PowerObjective(p, alpha))
+        vector = self.assert_engines_identical(
+            instance, lambda p: PowerObjective(p, alpha)
+        )
+        # With the kernels forced on, every branch node that combines
+        # split children goes through them — none may silently fall back
+        # (tiny instances legitimately have no branch nodes at all).
+        assert vector._kernel is not None
+        assert vector.stats.vector_fallback_nodes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +246,23 @@ class TestPropertyIdentity:
 # ---------------------------------------------------------------------------
 class TestForcedFallback:
     def test_auto_degrades_to_v2_and_v3_is_refused(self, monkeypatch):
+        # Without numpy the automatic choice is the scalar v2 engine, and
+        # a directly constructed v3 engine refuses to build its kernel even
+        # when forced.
         monkeypatch.setattr(vector_kernels, "_DISABLED", True)
         assert not vector_kernels.numpy_available()
-        assert resolve_engine("auto") == "v2"
-        with pytest.raises(EngineConfigurationError):
-            set_default_engine("v3")
         instance = random_multiprocessor_instance(
             num_jobs=8, num_processors=2, horizon=12, seed=3
         )
-        with pytest.raises(EngineConfigurationError):
-            build_engine(build_decomp(instance), GapObjective(2), "v3")
+        for objective in (GapObjective(2), PowerObjective(2, 2.0)):
+            engine = build_engine(build_decomp(instance), objective)
+            assert type(engine) is IntervalDPEngine
+            engine.solve()
+            assert engine.metadata()["version"] == BOTTOM_UP_ENGINE_VERSION
+        forced = VectorizedDPEngine(
+            build_decomp(instance), PowerObjective(2, 2.0), vector_min_work=0
+        )
+        assert forced._kernel is None
 
     def test_scalar_path_is_exercised_and_identical(self, monkeypatch):
         instance = random_multiprocessor_instance(
@@ -250,7 +292,6 @@ class TestForcedFallback:
 
     def test_facade_answers_identically_without_numpy(self, monkeypatch):
         problems = differential_workload(6)
-        set_default_engine("auto")
         with_numpy = [envelope_and_engine_meta(p)[0] for p in problems]
         monkeypatch.setattr(vector_kernels, "_DISABLED", True)
         clear_solve_cache()
@@ -286,9 +327,8 @@ class TestCacheCorrectness:
         assert upgraded.get(key) == entry
 
     @needs_numpy
-    def test_v3_disk_hit_replays_kernel_stats_verbatim(self, tmp_path):
+    def test_v3_disk_hit_replays_kernel_stats_verbatim(self, tmp_path, monkeypatch):
         configure_disk_cache(str(tmp_path))
-        set_default_engine("v3")
         instance = random_multiprocessor_instance(
             num_jobs=12, num_processors=2, horizon=14, seed=9
         )
@@ -299,12 +339,13 @@ class TestCacheCorrectness:
         assert meta["numpy"] == vector_kernels.numpy_version()
         assert meta["stats"]["vector_nodes"] > 0  # the kernels really ran
         # Simulate a new process: drop the memory tier, keep the disk tier,
-        # and flip the default engine — a verbatim replay must still carry
-        # the original v3 metadata, not the new process's configuration.
+        # and mask numpy out (so a fresh solve would run v2) — a verbatim
+        # replay must still carry the original v3 metadata, not the new
+        # process's evaluator.
         configure_solve_cache(0)
         configure_solve_cache(256)
         clear_solve_cache()
-        set_default_engine("v2")
+        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
         second = solve(problem)
         assert to_json(second) == to_json(first)
         assert second.extra["engine"] == meta
@@ -313,7 +354,7 @@ class TestCacheCorrectness:
         )
 
     @needs_numpy
-    def test_v2_and_v3_share_cache_entries_safely(self, tmp_path):
+    def test_v2_and_v3_share_cache_entries_safely(self, tmp_path, monkeypatch):
         # Byte-identity makes the engines interchangeable *within* the
         # shared version namespace: a v2-populated entry answers a v3
         # solve with the identical envelope (modulo the replayed meta).
@@ -322,12 +363,12 @@ class TestCacheCorrectness:
             num_jobs=8, horizon=16, max_window=5, seed=4
         )
         problem = Problem(objective="gaps", instance=instance)
-        set_default_engine("v2")
+        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
         first = solve(problem)
         configure_solve_cache(0)
         configure_solve_cache(256)
         clear_solve_cache()
-        set_default_engine("v3")
+        monkeypatch.setattr(vector_kernels, "_DISABLED", False)
         second = solve(problem)
         assert to_json(second) == to_json(first)
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import (
-    MultiIntervalInstance,
+from repro import MultiIntervalInstance
+from repro.core import (
     minimize_gaps_single_processor,
     minimize_power_single_processor,
     solve_multiprocessor_gap,

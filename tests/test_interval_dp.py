@@ -39,6 +39,10 @@ def _engine_for(instance, objective):
     return IntervalDPEngine(IntervalDecomposition(instance), objective)
 
 
+#: The evaluators compared differentially, by their bench/column names.
+ENGINES = {"v1": TrampolineDPEngine, "v2": IntervalDPEngine}
+
+
 class TestEngineOutcome:
     def test_empty_instance_is_feasible_zero(self):
         instance = MultiprocessorInstance(jobs=[], num_processors=2)
@@ -83,24 +87,19 @@ class TestEngineOutcome:
         assert meta["name"] == ENGINE_NAME
         assert meta["version"] == TRAMPOLINE_ENGINE_VERSION
 
-    def test_build_engine_selectors(self):
+    def test_build_engine_selectors(self, monkeypatch):
+        # The evaluator is selected by the platform alone: v3 when numpy
+        # imports, v2 when it does not.
+        from repro.core import vector_kernels
+
         instance = MultiprocessorInstance.from_pairs([(0, 3)], num_processors=1)
         decomp = IntervalDecomposition(instance)
-        assert isinstance(build_engine(decomp, GapObjective(1), "v2"), IntervalDPEngine)
-        assert isinstance(
-            build_engine(decomp, GapObjective(1), "v1"), TrampolineDPEngine
+        expected = (
+            VectorizedDPEngine if vector_kernels.numpy_available() else IntervalDPEngine
         )
-        from repro.core import vector_kernels
-        from repro.core.exceptions import EngineConfigurationError
-
-        if vector_kernels.numpy_available():
-            engine_v3 = build_engine(decomp, GapObjective(1), "v3")
-            assert isinstance(engine_v3, VectorizedDPEngine)
-        else:
-            with pytest.raises(EngineConfigurationError):
-                build_engine(decomp, GapObjective(1), "v3")
-        with pytest.raises(ValueError):
-            build_engine(decomp, GapObjective(1), "v9")
+        assert type(build_engine(decomp, GapObjective(1))) is expected
+        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
+        assert type(build_engine(decomp, GapObjective(1))) is IntervalDPEngine
 
     def test_power_objective_rejects_negative_alpha(self):
         with pytest.raises(InvalidInstanceError):
@@ -282,13 +281,13 @@ class TestEngineV1VsV2:
         p = rng.randint(1, 4)
         pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 14), max_window=6)
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-        v1 = solve_multiprocessor_gap(instance, engine="v1")
-        v2 = solve_multiprocessor_gap(instance, engine="v2")
+        v1 = ENGINES["v1"](IntervalDecomposition(instance), GapObjective(p)).solve()
+        v2 = ENGINES["v2"](IntervalDecomposition(instance), GapObjective(p)).solve()
         assert v1.feasible == v2.feasible
         if v2.feasible:
-            assert v1.num_gaps == v2.num_gaps
-            v2.require_schedule().validate()
-            assert v2.require_schedule().num_gaps() == v2.num_gaps
+            assert v1.value == v2.value
+            schedule = staircase_schedule(instance, v2.assignment)
+            assert schedule.num_gaps() == v2.value
 
     @pytest.mark.parametrize("seed", range(20))
     def test_power_engines_agree(self, seed):
@@ -298,13 +297,14 @@ class TestEngineV1VsV2:
         alpha = rng.choice([0.0, 0.5, 1.5, 3.0])
         pairs = random_window_pairs(rng, n, horizon=rng.randint(n, 13), max_window=6)
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=p)
-        v1 = solve_multiprocessor_power(instance, alpha=alpha, engine="v1")
-        v2 = solve_multiprocessor_power(instance, alpha=alpha, engine="v2")
+        objective = PowerObjective(p, alpha)
+        v1 = ENGINES["v1"](IntervalDecomposition(instance), objective).solve()
+        v2 = ENGINES["v2"](IntervalDecomposition(instance), objective).solve()
         assert v1.feasible == v2.feasible
         if v2.feasible:
-            assert v2.power == pytest.approx(v1.power)
-            v2.require_schedule().validate()
-            assert v2.require_schedule().power_cost(alpha) == pytest.approx(v2.power)
+            assert v2.value == pytest.approx(v1.value)
+            schedule = staircase_schedule(instance, v2.assignment)
+            assert schedule.power_cost(alpha) == pytest.approx(v2.value)
 
 
 class TestPeakDepthReporting:
@@ -317,10 +317,9 @@ class TestPeakDepthReporting:
     @pytest.mark.parametrize("engine", ["v1", "v2"])
     def test_hall_pruned_run_reports_positive_depth(self, engine):
         instance = MultiprocessorInstance.from_pairs(self.HALL_PRUNED, num_processors=1)
-        solver = MultiprocessorGapSolver(instance, engine=engine)
-        solution = solver.solve()
-        assert not solution.feasible
-        stats = solver.engine.stats
+        evaluator = ENGINES[engine](IntervalDecomposition(instance), GapObjective(1))
+        assert not evaluator.solve().feasible
+        stats = evaluator.stats
         assert stats.hall_pruned > 0
         assert stats.states_computed > 0
         assert stats.peak_stack_depth >= 1
@@ -328,15 +327,15 @@ class TestPeakDepthReporting:
     @pytest.mark.parametrize("engine", ["v1", "v2"])
     def test_single_column_run_reports_positive_depth(self, engine):
         instance = MultiprocessorInstance.from_pairs([(4, 4), (4, 4)], num_processors=2)
-        solver = MultiprocessorGapSolver(instance, engine=engine)
-        assert solver.solve().feasible
-        assert solver.engine.stats.peak_stack_depth >= 1
+        evaluator = ENGINES[engine](IntervalDecomposition(instance), GapObjective(2))
+        assert evaluator.solve().feasible
+        assert evaluator.stats.peak_stack_depth >= 1
 
     def test_v2_depth_tracks_the_dependency_chain(self):
         pairs = [(2 * i, 2 * i + 6) for i in range(60)]
         instance = MultiprocessorInstance.from_pairs(pairs, num_processors=1)
-        solver = MultiprocessorGapSolver(instance, engine="v2")
-        solver.solve()
+        evaluator = _engine_for(instance, GapObjective(1))
+        evaluator.solve()
         # The node DAG of the sparse staircase nests dozens of levels deep;
         # the bottom-up pass reports the longest dependency chain.
-        assert solver.engine.stats.peak_stack_depth >= 30
+        assert evaluator.stats.peak_stack_depth >= 30

@@ -9,8 +9,8 @@ from repro import (
     MultiprocessorInstance,
     OneIntervalInstance,
     MultiprocessorGapSolver,
-    solve_multiprocessor_gap,
 )
+from repro.core import solve_multiprocessor_gap
 from repro.core.brute_force import brute_force_gap_multiproc
 from tests.conftest import random_window_pairs
 

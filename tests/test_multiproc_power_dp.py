@@ -10,8 +10,8 @@ from repro import (
     MultiprocessorInstance,
     OneIntervalInstance,
     MultiprocessorPowerSolver,
-    solve_multiprocessor_power,
 )
+from repro.core import solve_multiprocessor_power
 from repro.core.brute_force import brute_force_power_multiproc
 from tests.conftest import random_window_pairs
 

@@ -71,9 +71,7 @@ class TestPortfolioBenchRun:
             assert block["upper"] is not None
             if block["lower"] is not None:
                 assert block["lower"] <= block["upper"] + 1e-9
-            assert block["backend"] in (
-                "serial", "thread", "process", "process-cold"
-            )
+            assert block["backend"] in ("serial", "thread", "process")
             assert isinstance(block["preemptive"], bool)
             for member in block["members"]:
                 assert member["state"] in ("ran", "killed", "cancelled")
@@ -232,7 +230,7 @@ class TestStreamHistory:
         path = tmp_path / "h.jsonl"
         append_stream_history(stream_report, str(path))
         renamed = copy.deepcopy(stream_report)
-        renamed["backends"][0]["backend"] = "process-cold"
+        renamed["backends"][0]["backend"] = "never-recorded"
         for record in renamed["backends"]:
             record["jobs_per_second"] /= 100.0
             record["problems_per_second"] /= 100.0

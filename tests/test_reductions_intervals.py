@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import MultiIntervalInstance, MultiprocessorInstance, solve_multiprocessor_gap
+from repro import MultiIntervalInstance, MultiprocessorInstance
+from repro.core import solve_multiprocessor_gap
 from repro.core.brute_force import brute_force_gap_multi_interval
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.feasibility import is_feasible

@@ -13,11 +13,13 @@ cannot: SIGKILL + restart recovery and SIGTERM graceful drain of
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -32,6 +34,7 @@ from repro.api import (
 )
 from repro.api.registry import _REGISTRY, register_solver
 from repro.service import ServiceClient, ServiceError, ServiceServer
+from repro.service.server import MAX_BODY_BYTES
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -126,6 +129,33 @@ def make_server(tmp_path):
     SLEEP_GATE.set()  # release anything still blocked before teardown
     for server in servers:
         server.stop()
+
+
+def _post_with_content_length(server, content_length):
+    """POST /v1/jobs over a bare socket with a hand-written Content-Length.
+
+    Reads until the server hangs up, so a handler thread left blocked on
+    the body shows up as a socket timeout.  Returns (status, payload,
+    Connection header).
+    """
+    url = urllib.parse.urlsplit(server.url)
+    request = (
+        b"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: " + content_length.encode("ascii") + b"\r\n\r\n"
+    )
+    chunks = []
+    with socket.create_connection((url.hostname, url.port), timeout=5.0) as sock:
+        sock.sendall(request)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split(" ")[1]), json.loads(payload), headers.get("Connection")
 
 
 def _wait_for_state(client, job_id, state, timeout=10.0):
@@ -348,6 +378,21 @@ class TestHttpSurface:
             "POST", "/v1/jobs", b'{"problem": {"type": "job", "release": "x"}}'
         )
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "content_length,status",
+        [("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)],
+        ids=["non-integer", "negative", "oversized"],
+    )
+    def test_bad_content_length_is_refused(self, make_server, content_length, status):
+        # No body is sent: the server must answer from the header alone and
+        # hang up, instead of crashing or blocking on the body.
+        server = make_server()
+        got, payload, connection = _post_with_content_length(server, content_length)
+        assert got == status
+        assert isinstance(payload["error"], str) and payload["error"]
+        assert connection == "close"
+        assert ServiceClient(server.url).health()["status"] == "ok"
 
     def test_result_not_ready_is_202(self, make_server):
         server = make_server(window=1)
