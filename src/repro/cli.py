@@ -31,7 +31,7 @@ Sub-commands
     ``--profile`` to print the interval-DP engine's aggregated pruning and
     memoization statistics.
 ``bench``
-    Benchmark the interval-DP engines (v2 bottom-up, v3 vectorized and v1
+    Benchmark the interval-DP engines (v2 bottom-up, v4 compiled and v1
     trampoline) and the frozen pre-engine seed solvers over the generator families and
     write a schema-validated JSON report (``BENCH_dp.json``); ``--quick``
     is the CI smoke matrix, ``--check`` validates an existing report's
@@ -66,11 +66,10 @@ selects the execution backend (equivalently ``REPRO_BACKEND``), and
 ``--cache-dir PATH`` enables the persistent solve-cache tier
 (equivalently ``REPRO_CACHE_DIR``).
 
-There is no evaluator option: the exact interval DPs run on the
-numpy-vectorized v3 evaluator when numpy imports and on the scalar v2
-evaluator otherwise, with byte-identical answers either way.  Gap solves
-always use the scalar combine; v1 and the seed solvers are references for
-``bench`` and the tests only.
+There is no evaluator option: the exact interval DPs run on the compiled
+v4 evaluator when its C kernel builds (once, then cached) and on the
+scalar v2 evaluator otherwise, with byte-identical answers either way;
+v1 and the seed solvers are references for ``bench`` and the tests only.
 
 All solving goes through :mod:`repro.api`; this module never imports a
 solver implementation directly.
@@ -318,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-v3",
         action="store_true",
-        help="skip the v3 vectorized-engine comparison (it is also skipped "
-        "automatically, with null columns, when numpy is unavailable)",
+        help="skip the compiled-engine comparison (the engine_v3 column; it "
+        "is also skipped automatically, with null columns, when the kernel "
+        "is unavailable)",
     )
     bench.add_argument(
         "--check",
@@ -1066,7 +1066,7 @@ def _dispatch(argv: Optional[Sequence[str]] = None) -> int:
             line = f"{record['name']:<28} v2 {engine_ms:>9.2f} ms"
             if record["engine_v3"] is not None:
                 v3_ms = record["engine_v3"]["median"] * 1000.0
-                line += f"   v3 {v3_ms:>9.2f} ms ({record['speedup_vs_v2']:.2f}x)"
+                line += f"   v4 {v3_ms:>9.2f} ms ({record['speedup_vs_v2']:.2f}x)"
             if record["engine_v1"] is not None:
                 v1_ms = record["engine_v1"]["median"] * 1000.0
                 line += f"   v1 {v1_ms:>9.2f} ms ({record['speedup_vs_v1']:.2f}x)"

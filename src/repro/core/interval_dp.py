@@ -35,17 +35,19 @@ Three evaluators share the objectives:
   incrementally (released-job lists extend their length-minus-one
   predecessor; split counts come from a two-pointer merge instead of
   per-column bisects).
-* :class:`VectorizedDPEngine` (**v3**) is v2 with the split-combine of
-  single-label (power) nodes batched into the numpy min-plus kernels of
-  :mod:`repro.core.vector_kernels`; gap nodes keep v2's scalar combine.
+* :class:`CompiledDPEngine` (**v4**) is v2 with the whole evaluation
+  pass — split combine, right-end merge and sealing, for both objectives —
+  run by one compiled C kernel (:mod:`repro.core.combine_kernel`) over
+  dense per-node tables; discovery and reconstruction stay v2's.
 * :class:`TrampolineDPEngine` (**v1**, kept as a differential reference for
   the tests and the bench) evaluates lazily top-down through an explicit
   stack of suspended generators with a dict memo over packed integer state
   keys.
 
-:func:`build_engine` picks the evaluator from the platform: v3 when numpy
-imports, v2 otherwise.  The three are byte-identical in value, schedule
-and base counters, so the choice never changes an answer.
+:func:`build_engine` picks the evaluator from the platform: v4 when the
+kernel compiles (or is already cached), v2 otherwise.  The evaluators are
+byte-identical in value, schedule and counters, so the choice never
+changes an answer.
 
 All engines share Hall-condition pre-pruning (a violated prefix/suffix
 count proves every boundary variant of a node empty), dominance pruning of
@@ -61,11 +63,13 @@ against the frozen pre-engine solvers.
 
 from __future__ import annotations
 
+import ctypes
+from array import array
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import vector_kernels
+from . import combine_kernel
 from .dp_profile import IntervalDecomposition
 from .exceptions import InvalidInstanceError
 from .jobs import MultiprocessorInstance
@@ -74,17 +78,15 @@ from .schedule import MultiprocessorSchedule
 __all__ = [
     "ENGINE_NAME",
     "ENGINE_VERSION",
-    "VECTOR_ENGINE_VERSION",
+    "COMPILED_ENGINE_VERSION",
     "BOTTOM_UP_ENGINE_VERSION",
     "TRAMPOLINE_ENGINE_VERSION",
-    "POWER_VECTOR_MIN_WORK",
     "EngineStats",
-    "VectorEngineStats",
     "EngineOutcome",
     "GapObjective",
     "PowerObjective",
     "IntervalDPEngine",
-    "VectorizedDPEngine",
+    "CompiledDPEngine",
     "TrampolineDPEngine",
     "build_engine",
     "staircase_schedule",
@@ -93,12 +95,12 @@ __all__ = [
 ENGINE_NAME = "interval-dp"
 #: Version of the current engine generation.  This is what namespaces the
 #: canonicalization and disk caches — bumping it silently invalidates every
-#: previously cached entry (the v3 kernels are byte-identical to v2, but a
-#: fresh namespace keeps upgrade semantics unambiguous and lets replayed
-#: engine metadata always match the code that would recompute it).
-ENGINE_VERSION = "3.0"
-#: Version of the vectorized (numpy min-plus kernel) evaluator.
-VECTOR_ENGINE_VERSION = "3.0"
+#: previously cached entry (the compiled kernel is byte-identical to v2,
+#: but a fresh namespace keeps upgrade semantics unambiguous and lets
+#: replayed engine metadata always match the code that would recompute it).
+ENGINE_VERSION = "4.0"
+#: Version of the compiled-kernel evaluator.
+COMPILED_ENGINE_VERSION = "4.0"
 #: Version of the bottom-up, array-packed scalar evaluator.
 BOTTOM_UP_ENGINE_VERSION = "2.0"
 #: Version of the legacy generator-trampoline evaluator.
@@ -118,13 +120,13 @@ _EMPTY_CHOICE = ("empty",)
 class EngineStats:
     """Counters describing one engine run (exposed as JSON-native ints).
 
-    The two evaluators fill the same counters with engine-appropriate
+    The evaluators fill the same counters with engine-appropriate
     meanings: ``states_computed`` counts DP states whose value table was
     materialised, ``memo_hits`` counts child-table reads served from
-    already-computed storage (dict memo for v1, flat tables for v2), and
-    ``peak_stack_depth`` is the deepest dependency chain the evaluation
-    followed (suspension-stack depth for v1, longest node-DAG chain for
-    v2); it is at least 1 whenever any state was computed.
+    already-computed storage (dict memo for v1, flat tables for v2 and
+    v4), and ``peak_stack_depth`` is the deepest dependency chain the
+    evaluation followed (suspension-stack depth for v1, longest node-DAG
+    chain for v2 and v4); it is at least 1 whenever any state was computed.
     """
 
     states_computed: int = 0
@@ -143,30 +145,6 @@ class EngineStats:
             "plans_built": self.plans_built,
             "peak_stack_depth": self.peak_stack_depth,
         }
-
-
-@dataclass
-class VectorEngineStats(EngineStats):
-    """v2 counters plus the v3 kernel-dispatch decisions.
-
-    The base counters are *identical* to what the scalar evaluator would
-    report on the same instance (the kernels account lookups analytically);
-    the extra ones record how the per-node size heuristic resolved:
-    ``vector_nodes`` branch nodes combined by the numpy kernels (covering
-    ``vector_splits`` splits), ``vector_fallback_nodes`` branch nodes that
-    stayed on the scalar loop (too little work, or numpy unavailable).
-    """
-
-    vector_nodes: int = 0
-    vector_fallback_nodes: int = 0
-    vector_splits: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        data = super().as_dict()
-        data["vector_nodes"] = self.vector_nodes
-        data["vector_fallback_nodes"] = self.vector_fallback_nodes
-        data["vector_splits"] = self.vector_splits
-        return data
 
 
 @dataclass
@@ -552,21 +530,16 @@ class IntervalDPEngine:
             )
         self._ensure_tables()
         best: Optional[Tuple[float, int, int]] = None  # (total, variant, label)
-        table = self._tables[self._root_id]
-        if table is not None:
-            P = self._P
-            for b1 in range(P):
-                base = b1 * P  # root variants have q = 0
-                for b2 in range(P):
-                    entry = table[base + b2]
-                    if entry is None:
+        P = self._P
+        for b1 in range(P):
+            base = b1 * P  # root variants have q = 0
+            for b2 in range(P):
+                for label, cost in self._entries(self._root_id, base + b2):
+                    total = obj.root_total(b1, label, cost)
+                    if total is None:
                         continue
-                    for label, cost in entry[2]:
-                        total = obj.root_total(b1, label, cost)
-                        if total is None:
-                            continue
-                        if best is None or total < best[0]:
-                            best = (total, base + b2, label)
+                    if best is None or total < best[0]:
+                        best = (total, base + b2, label)
         if best is None:
             return EngineOutcome(
                 feasible=False, value=None, assignment=None, stats=self.stats
@@ -584,6 +557,18 @@ class IntervalDPEngine:
             "objective": self.objective.name,
             "stats": self.stats.as_dict(),
         }
+
+    def _entries(self, nid: int, vi: int):
+        """Finite ``(label, cost)`` pairs of one sealed variant, labels ascending."""
+        table = self._tables[nid]
+        entry = None if table is None else table[vi]
+        return () if entry is None else entry[2]
+
+    def _choice(self, nid: int, vi: int, label: int):
+        """The recorded choice of one sealed ``(variant, label)`` slot, or ``None``."""
+        table = self._tables[nid]
+        entry = None if table is None else table[vi]
+        return None if entry is None else entry[1][label]
 
     # -- incremental node-job machinery ------------------------------------------
     def _released(self, i1: int, i2: int) -> Tuple[int, ...]:
@@ -832,9 +817,7 @@ class IntervalDPEngine:
         """Reachable ``q`` values and the valid variants grouped by ``(q, b2)``.
 
         Grids only depend on the node through ``(objective.grid_key(k),
-        qmask)``, so they are cached per run and shared across nodes — the
-        v3 kernels additionally key derived blanking masks on the cached
-        groups object's identity.
+        qmask)``, so they are cached per run and shared across nodes.
         """
         obj = self.objective
         k = self._node_k[nid]
@@ -897,39 +880,48 @@ class IntervalDPEngine:
         stats.states_computed += q_count * self._P * self._P
         return out if any_entry else None
 
-    def _leaf_tables(self, nid: int, kind: int) -> Optional[List]:
-        """Tables of a single-column or empty-interval node, all variants at once."""
+    def _leaf_variant(self, nid: int, kind: int, q: int, b1: int, b2: int):
+        """The objective's ``(label, (cost, choice))`` table of one leaf variant."""
         obj = self.objective
-        P = self._P
-        L = self._labels
         columns = self.decomp.columns
-        i1, i2, k = self._node_i1[nid], self._node_i2[nid], self._node_k[nid]
-        node = self._node_jobs_list[nid]
-        t1, t2 = columns[i1], columns[i2]
+        t1 = columns[self._node_i1[nid]]
+        if kind == _SINGLE:
+            return obj.single_column(
+                self._node_k[nid], q, b1, b2, self._node_jobs_list[nid], t1
+            )
+        return obj.empty_interval(q, b1, b2, t1, columns[self._node_i2[nid]])
+
+    def _leaf_entries(self, nid: int, kind: int):
+        """``(variant index, table)`` of every non-empty variant of one leaf node."""
+        P = self._P
+        k = self._node_k[nid]
         mask = self._node_qmask[nid]
-        q_list = [q for q in range(P) if mask >> q & 1]
-        invalid = obj.invalid_state
-        out: List[Optional[Tuple]] = [None] * (P * P * P)
-        for q in q_list:
-            base_q = q * P
+        invalid = self.objective.invalid_state
+        for q in range(P):
+            if not mask >> q & 1:
+                continue
             for b1 in range(P):
-                base = (base_q + b1) * P
+                base = (q * P + b1) * P
                 for b2 in range(P):
                     if invalid(k, q, b1, b2):
                         continue
-                    if kind == _SINGLE:
-                        table = obj.single_column(k, q, b1, b2, node, t1)
-                    else:
-                        table = obj.empty_interval(q, b1, b2, t1, t2)
-                    if not table:
-                        continue
-                    costs = [_INF] * L
-                    choices: List = [None] * L
-                    for label, (cost, choice) in table:
-                        costs[label] = cost
-                        choices[label] = choice
-                    out[base + b2] = [costs, choices]
-        return self._seal(out, len(q_list))
+                    table = self._leaf_variant(nid, kind, q, b1, b2)
+                    if table:
+                        yield base + b2, table
+
+    def _leaf_tables(self, nid: int, kind: int) -> Optional[List]:
+        """Tables of a single-column or empty-interval node, all variants at once."""
+        P = self._P
+        L = self._labels
+        out: List[Optional[Tuple]] = [None] * (P * P * P)
+        for vi, table in self._leaf_entries(nid, kind):
+            costs = [_INF] * L
+            choices: List = [None] * L
+            for label, (cost, choice) in table:
+                costs[label] = cost
+                choices[label] = choice
+            out[vi] = [costs, choices]
+        return self._seal(out, bin(self._node_qmask[nid]).count("1"))
 
     def _branch_tables(self, nid: int, tables: List) -> Optional[List]:
         """Tables of one branch node: combine child tables over every split."""
@@ -1082,20 +1074,10 @@ class IntervalDPEngine:
     def _reconstruct(self, node_id: int, variant: int, label: int) -> Dict[int, int]:
         """Replay table choices into a ``job -> time`` assignment, iteratively."""
         assignment: Dict[int, int] = {}
-        tables = self._tables
         stack: List[Tuple[int, int, int]] = [(node_id, variant, label)]
         while stack:
             nid, vi, lab = stack.pop()
-            entry = tables[nid][vi]
-            if entry is None:
-                raise AssertionError("reconstruction reached a pruned table entry")
-            ch = entry[1]
-            if type(ch) is int:
-                # Kernel-sealed entry: (staged node, variant index, entries) —
-                # the choice decodes lazily from the staged winner slabs.
-                choice = vector_kernels.decode_choice(entry[0], ch)
-            else:
-                choice = ch[lab]
+            choice = self._choice(nid, vi, lab)
             if choice is None:
                 raise AssertionError("reconstruction reached a pruned table entry")
             tag = choice[0]
@@ -1121,174 +1103,269 @@ class IntervalDPEngine:
 
 
 # ---------------------------------------------------------------------------
-# v3: numpy min-plus kernels for single-label (power) nodes
+# v4: the evaluation pass in one compiled kernel
 # ---------------------------------------------------------------------------
-#: Work floor (``len(splits) * P^2``) below which a power branch node stays
-#: on the scalar combine.  Power tables are dense single-label float planes
-#: — the regime the kernels are built for — so every node with at least a
-#: couple of active splits goes through them (measured optimum across the
-#: n>=60 bench cases; tiny nodes lose more to ndarray dispatch than the
-#: kernels save).
-POWER_VECTOR_MIN_WORK = 16
+class _DenseTables:
+    """Every node's tables of one v4 run, in the kernel's flat layout.
 
-
-class VectorizedDPEngine(IntervalDPEngine):
-    """v3: the bottom-up evaluator with numpy min-plus combine kernels.
-
-    Discovery, split planning, sealing, pruning, and reconstruction are all
-    inherited unchanged from :class:`IntervalDPEngine`; what changes is the
-    evaluation pass: nodes are processed in the same ``(interval length,
-    job count)`` order, but grouped into *length layers*.  Split children
-    always live on strictly shorter intervals, so the variant-combination
-    step of every qualifying branch node in a layer is data-ready at once
-    and is staged by one batched numpy kernel invocation
-    (:meth:`repro.core.vector_kernels.MinPlusKernel.layer_split_tables`);
-    the remaining per-node work — the ``t' == t2`` right-end merge (whose
-    child shares the layer), memo accounting, and sealing — then runs
-    scalar in the v2 order.  Only single-label objectives (power) use the
-    kernels; gap objectives, and power nodes below a per-node work
-    heuristic, run the inherited scalar combine loop.  The kernels carry a
-    byte-identity contract (same costs, bit-for-bit; same choice tuples;
-    same stats counters), so v3 results — including float power values —
-    are interchangeable with v2's everywhere: solve caches, differential
-    suites, and the service layer observe no difference beyond speed and
-    the extra :class:`VectorEngineStats` counters.
-
-    Parameters
-    ----------
-    decomp, objective:
-        As for :class:`IntervalDPEngine`.
-    vector_min_work:
-        Work floor for the per-node heuristic (``len(splits) * P^2`` must
-        reach it for the kernels to run).  ``None`` picks
-        :data:`POWER_VECTOR_MIN_WORK` for ``p >= 2`` and disables the
-        kernels entirely at ``p <= 1``, where tables are so small the
-        scalar loop always wins; pass ``0`` to force vectorization of every
-        power node (used by tests).  Ignored for gap objectives: their
-        dominance-pruned tables are label-sparse, so they always stay on
-        the scalar combine.
+    ``plane[nid * P + q]`` is the offset of node ``nid``'s ``(b1, b2,
+    label)`` plane for ``q`` in ``cost`` / ``win`` (``-1`` when ``q`` is
+    not reachable or the node is pruned); ``win`` holds the kernel's
+    winning-choice codes (see ``combine.c``).
     """
 
-    version = VECTOR_ENGINE_VERSION
+    __slots__ = ("plane", "cost", "win")
 
-    def __init__(
-        self,
-        decomp: IntervalDecomposition,
-        objective,
-        vector_min_work: Optional[int] = None,
-    ) -> None:
+    def __init__(self, plane: array, cost: array, win: array) -> None:
+        self.plane = plane
+        self.cost = cost
+        self.win = win
+
+
+class CompiledDPEngine(IntervalDPEngine):
+    """v4: the bottom-up evaluator with its evaluation pass compiled.
+
+    Discovery (demand-driven expansion and q-mask propagation) and the
+    leaf tables are v2's, in Python.  The rest of the evaluation pass —
+    combining child tables over every split of every branch node, the
+    ``t' == t2`` right-end merge, and sealing with the gap objective's
+    dominance prune — runs in one call of the C kernel in ``combine.c``,
+    over dense float tables: one ``P * P * labels`` plane per node and
+    reachable ``q``, with a parallel winner plane.  The kernel reads the
+    objective only through tables built here from the objective's own
+    methods (boundary maps, variant grids, charge matrices), so it serves
+    both objectives, and it reproduces the scalar loop's visit order, tie
+    breaks, float association and counters: values, schedules and stats
+    are byte-identical to :class:`IntervalDPEngine`'s.  Reconstruction
+    decodes the choices on the optimal path from the winner planes; gap
+    values come back as ``int``, power values as ``float``.
+
+    Raises :class:`RuntimeError` when the kernel is unavailable (no C
+    compiler and no cached build); :func:`build_engine` then picks v2.
+    """
+
+    version = COMPILED_ENGINE_VERSION
+
+    def __init__(self, decomp: IntervalDecomposition, objective) -> None:
         super().__init__(decomp, objective)
-        self.stats = VectorEngineStats()
-        if vector_min_work is None and self.p >= 2:
-            # At p <= 1 tables are so small the scalar loop always wins and
-            # the kernels stay off entirely (an explicit vector_min_work —
-            # tests — still forces them).
-            vector_min_work = POWER_VECTOR_MIN_WORK
-        self.vector_min_work = vector_min_work
-        self._kernel = (
-            vector_kernels.MinPlusKernel(objective, self.p)
-            if objective.num_labels == 1
-            and vector_min_work is not None
-            and vector_kernels.numpy_available()
-            else None
-        )
-
-    def solve(self) -> EngineOutcome:
-        outcome = super().solve()
-        if self._kernel is not None:
-            # Reconstruction reads only the sealed sparse tables; the dense
-            # float mirrors are dead weight once the answer is out.
-            self._kernel.release_dense()
-        return outcome
-
-    def metadata(self) -> Dict:
-        meta = super().metadata()
-        meta["numpy"] = vector_kernels.numpy_version()
-        return meta
+        self._kernel = combine_kernel.load()
+        if self._kernel is None:
+            raise RuntimeError("the compiled combine kernel is unavailable")
+        # Gap tables hold integer costs; the kernel computes in doubles
+        # (exactly, far below 2**53) and values convert back on the way out.
+        self._value_type = type(objective.zero_value())
+        left = list(objective.left_b2_values())
+        if left != list(range(left[0], left[0] + len(left))):
+            raise ValueError("left_b2_values must be a contiguous range")
+        self._left_range = (left[0], left[0] + len(left))
 
     def _evaluate_all(self) -> None:
-        """Layer-batched evaluation: kernel pass per length, scalar finish."""
-        kernel = self._kernel
-        if kernel is None:
-            return super()._evaluate_all()
-        num = len(self._node_i1)
+        obj = self.objective
+        P, L = self._P, self._labels
+        PP = P * P
+        stride = PP * L
         i1s, i2s, ks = self._node_i1, self._node_i2, self._node_k
-        order = sorted(range(num), key=lambda nid: (i2s[nid] - i1s[nid], ks[nid]))
-        tables: List[Optional[List]] = [None] * num
-        depths = [0] * num
-        kinds = self._node_kind
-        plans = self._node_plan
-        qmasks = self._node_qmask
-        stats = self.stats
-        peak = stats.peak_stack_depth
-        min_work = self.vector_min_work
-        combo = self._P * self._P
-        total = len(order)
-        lo = 0
-        while lo < total:
-            length = i2s[order[lo]] - i1s[order[lo]]
-            hi = lo
-            while hi < total and i2s[order[hi]] - i1s[order[hi]] == length:
-                hi += 1
-            batch = [
-                nid
-                for nid in order[lo:hi]
-                if qmasks[nid] != 0
-                and kinds[nid] == _BRANCH
-                and len(plans[nid][1]) * combo >= min_work
-            ]
-            staged = kernel.layer_split_tables(self, batch, tables) if batch else {}
-            for idx in range(lo, hi):
-                nid = order[idx]
-                if qmasks[nid] == 0:
-                    continue
-                kind = kinds[nid]
-                if kind == _PRUNED:
-                    q_count = bin(qmasks[nid]).count("1")
-                    stats.states_computed += q_count * self._P * self._P
-                    depth = 1
-                elif kind == _BRANCH:
-                    pre = staged.get(nid)
-                    if pre is not None:
-                        stats.vector_nodes += 1
-                        stats.vector_splits += len(plans[nid][1])
-                        tables[nid] = self._finish_branch(nid, tables, pre)
-                    else:
-                        tables[nid] = self._branch_tables(nid, tables)
-                    _jmax, splits, right_end_id = plans[nid]
-                    depth = 0
-                    for _t, left_id, right_id, _adj, _stretch, _rt2 in splits:
-                        if depths[left_id] > depth:
-                            depth = depths[left_id]
-                        if depths[right_id] > depth:
-                            depth = depths[right_id]
-                    if right_end_id is not None and depths[right_end_id] > depth:
-                        depth = depths[right_end_id]
-                    depth += 1
-                else:
-                    tables[nid] = self._leaf_tables(nid, kind)
-                    depth = 1
-                depths[nid] = depth
-                if depth > peak:
-                    peak = depth
-            lo = hi
-        stats.peak_stack_depth = peak
-        self._tables = tables
+        kinds, masks, plans = self._node_kind, self._node_qmask, self._node_plan
+        num = len(i1s)
+        order = sorted(
+            (nid for nid in range(num) if masks[nid]),
+            key=lambda nid: (i2s[nid] - i1s[nid], ks[nid]),
+        )
+        # One plane per (live, unpruned node, reachable q).
+        plane = array("q", [-1]) * (num * P)
+        size = 0
+        reachable = 0
+        for nid in order:
+            bits = masks[nid]
+            reachable += bin(bits).count("1")
+            if kinds[nid] == _PRUNED:
+                continue
+            for q in range(P):
+                if bits >> q & 1:
+                    plane[nid * P + q] = size
+                    size += stride
+        self.stats.states_computed += reachable * PP
+        cost = array("d", [_INF]) * size
+        win = array("q", [0]) * size
+        for nid in order:
+            kind = kinds[nid]
+            if kind == _SINGLE or kind == _EMPTY:
+                for vi, table in self._leaf_entries(nid, kind):
+                    q, rest = divmod(vi, PP)
+                    base = plane[nid * P + q] + rest * L
+                    for label, (value, _choice) in table:
+                        cost[base + label] = value
+        split_lo = array("q", [0])
+        split_left = array("q")
+        split_right = array("q")
+        right_end = array("q", [-1]) * num
+        for nid, plan in enumerate(plans):
+            if plan is not None:
+                for split in plan[1]:
+                    split_left.append(split[1])
+                    split_right.append(split[2])
+                if plan[2] is not None:
+                    right_end[nid] = plan[2]
+            split_lo.append(len(split_left))
+        nonempty = array("B", [0]) * num
+        depth = array("q", [0]) * num
+        branch_ks = {ks[nid] for nid in order if kinds[nid] == _BRANCH}
+        arrays = dict(
+            self._algebra_tables(branch_ks),
+            order=array("q", order),
+            kind=array("B", kinds),
+            i1=array("q", i1s),
+            i2=array("q", i2s),
+            k=array("q", ks),
+            split_lo=split_lo,
+            split_left=split_left,
+            split_right=split_right,
+            right_end=right_end,
+            plane=plane,
+            cost=cost,
+            win=win,
+            nonempty=nonempty,
+            depth=depth,
+        )
+        run = combine_kernel.DPRun(
+            P=P,
+            L=L,
+            lb2_lo=self._left_range[0],
+            lb2_hi=self._left_range[1],
+            num_order=len(order),
+            # ``arrays`` keeps every buffer alive across the call.
+            **{name: buf.buffer_info()[0] for name, buf in arrays.items()},
+        )
+        if self._kernel.dp_evaluate(ctypes.byref(run)) != 0:
+            raise MemoryError("combine kernel could not allocate its working buffers")
+        self.stats.memo_hits += run.memo_hits
+        self.stats.dominance_dropped += run.dominance_dropped
+        if run.peak_depth > self.stats.peak_stack_depth:
+            self.stats.peak_stack_depth = run.peak_depth
+        self._tables = _DenseTables(plane, cost, win)
 
-    def _branch_tables(self, nid: int, tables: List) -> Optional[List]:
-        self.stats.vector_fallback_nodes += 1
-        return super()._branch_tables(nid, tables)
+    def _algebra_tables(self, branch_ks) -> Dict[str, array]:
+        """The objective's value algebra, tabulated for the kernel.
 
-    def _finish_branch(self, nid: int, tables: List, pre) -> Optional[List]:
-        """Finish one kernel-staged node: right-end merge, accounting, sealing.
-
-        ``pre`` is the kernel's :class:`~repro.core.vector_kernels._Staged`
-        record; :meth:`~repro.core.vector_kernels.MinPlusKernel.finish_node`
-        applies the scalar loop's ``t' == t2`` merge (same strict ``<`` tie
-        breaks), seals the node, and registers its cost slab as its dense
-        mirror for the next layer's kernels.
+        Every table comes from the objective's own methods, so the kernel
+        applies exactly the rules the scalar loop applies.  Variant grids
+        (and right-end child variants) are built once per ``grid_key``
+        class of the branch nodes' job counts ``branch_ks``; charge
+        matrices once per candidate column of ``t'``, per "right child
+        touches ``t2``" flag and per ``q``, and only when there is a branch
+        node to read them — a Hall-pruned root needs none of it.
         """
-        return self._kernel.finish_node(self, nid, tables, pre)
+        obj = self.objective
+        P = self._P
+        P3 = P * P * P
+        n = len(self.decomp.jobs)
+        left_b1 = array("q")
+        right_b1_hi = array("q")
+        for flag in (False, True):
+            for b in range(P):
+                lb1 = obj.left_boundary(b, flag)
+                left_b1.append(-1 if lb1 is None else lb1)
+                right_b1_hi.append(len(obj.right_b1_values(b, flag)))
+        grid_key = getattr(obj, "grid_key", None)
+        rows: Dict = {}
+        grid_of_k = array("q", [0]) * (n + 1)
+        valid = array("B")
+        right_end_vi = array("q")
+        for k in sorted(branch_ks):
+            key = grid_key(k) if grid_key is not None else k
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = len(rows)
+                for vi in range(P3):
+                    q, rest = divmod(vi, P * P)
+                    b1, b2 = divmod(rest, P)
+                    valid.append(
+                        not (obj.invalid_state(k, q, b1, b2)
+                             or obj.pre_branch_invalid(k, b1, b2))
+                    )
+                    child = obj.right_end_child(k, q, b1, b2)
+                    right_end_vi.append(
+                        -1 if child is None
+                        else (child[0] * P + child[1]) * P + child[2]
+                    )
+            grid_of_k[k] = row
+        columns = self.decomp.columns if branch_ks else ()
+        charges = array("d")
+        charge_pos: Dict[int, int] = {}
+        matrices = []  # keeps every matrix alive, so ids stay unique
+        charge_of = array("q", [0]) * (len(self.decomp.columns) * 2 * P)
+        for ci in range(len(columns) - 1):
+            gap = columns[ci + 1] - columns[ci]
+            for flag in (False, True):
+                for q in range(P):
+                    matrix = obj.charge_matrix(q, gap == 1, gap - 1, flag)
+                    pos = charge_pos.get(id(matrix))
+                    if pos is None:
+                        pos = charge_pos[id(matrix)] = len(matrices)
+                        matrices.append(matrix)
+                        for row_values in matrix:
+                            charges.extend(row_values)
+                    charge_of[(ci * 2 + flag) * P + q] = pos
+        return dict(
+            left_b1=left_b1,
+            right_b1_hi=right_b1_hi,
+            valid=valid,
+            right_end_vi=right_end_vi,
+            grid_of_k=grid_of_k,
+            charges=charges,
+            charge_of=charge_of,
+        )
+
+    def _slot(self, nid: int, vi: int, label: int) -> int:
+        """Flat index of one ``(variant, label)`` slot, or ``-1``."""
+        P = self._P
+        q, rest = divmod(vi, P * P)
+        off = self._tables.plane[nid * P + q]
+        return -1 if off < 0 else off + rest * self._labels + label
+
+    def _entries(self, nid: int, vi: int):
+        slot = self._slot(nid, vi, 0)
+        if slot < 0:
+            return ()
+        cost = self._tables.cost
+        value_type = self._value_type
+        return [
+            (label, value_type(cost[slot + label]))
+            for label in range(self._labels)
+            if cost[slot + label] != _INF
+        ]
+
+    def _choice(self, nid: int, vi: int, label: int):
+        slot = self._slot(nid, vi, label)
+        if slot < 0 or self._tables.cost[slot] == _INF:
+            return None
+        P, L = self._P, self._labels
+        q, rest = divmod(vi, P * P)
+        b1, b2 = divmod(rest, P)
+        kind = self._node_kind[nid]
+        if kind != _BRANCH:
+            for lab, (_cost, choice) in self._leaf_variant(nid, kind, q, b1, b2):
+                if lab == label:
+                    return choice
+            return None
+        jmax, splits, right_end_id = self._node_plan[nid]
+        code = self._tables.win[slot]
+        if code < 0:
+            cq, cb1, cb2 = self.objective.right_end_child(self._node_k[nid], q, b1, b2)
+            t2 = self.decomp.columns[self._node_i2[nid]]
+            return ("right_end", right_end_id, (cq * P + cb1) * P + cb2, label, jmax, t2)
+        code, lr = divmod(code, L)
+        code, ll = divmod(code, L)
+        code, rb1 = divmod(code, P)
+        s, lb2 = divmod(code, P)
+        t_prime, left_id, right_id = splits[s][:3]
+        at_edge = t_prime == self.decomp.columns[self._node_i1[nid]]
+        lb1 = self.objective.left_boundary(b1, at_edge)
+        return (
+            "split", jmax, t_prime,
+            left_id, (P + lb1) * P + lb2, ll,
+            right_id, (q * P + rb1) * P + b2, lr,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1688,13 +1765,13 @@ class TrampolineDPEngine:
 def build_engine(decomp: IntervalDecomposition, objective):
     """Construct the evaluator this platform runs best.
 
-    :class:`VectorizedDPEngine` (v3) when numpy imports, otherwise the
-    scalar :class:`IntervalDPEngine` (v2) — the graceful-degradation path
-    for installs without the ``[speed]`` extra.  Both produce byte-identical
-    values, schedules and base counters.
+    :class:`CompiledDPEngine` (v4) when the combine kernel loads, otherwise
+    the scalar :class:`IntervalDPEngine` (v2) — the fallback for hosts
+    without a C compiler.  Both produce byte-identical values, schedules
+    and counters.
     """
-    if vector_kernels.numpy_available():
-        return VectorizedDPEngine(decomp, objective)
+    if combine_kernel.load() is not None:
+        return CompiledDPEngine(decomp, objective)
     return IntervalDPEngine(decomp, objective)
 
 

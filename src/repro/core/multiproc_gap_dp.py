@@ -68,7 +68,7 @@ class MultiprocessorGapSolver:
         (used by the tests to match the brute-force search space exactly).
 
     The evaluator is :func:`~repro.core.interval_dp.build_engine`'s pick:
-    the numpy-vectorized v3 engine when numpy imports, the scalar v2 engine
+    the compiled v4 engine when its C kernel loads, the scalar v2 engine
     otherwise (identical answers either way).
     """
 

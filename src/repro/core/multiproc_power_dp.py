@@ -66,7 +66,7 @@ class MultiprocessorPowerSolver:
         Use all integer times as candidate columns (tests only).
 
     The evaluator is :func:`~repro.core.interval_dp.build_engine`'s pick:
-    the numpy-vectorized v3 engine when numpy imports, the scalar v2 engine
+    the compiled v4 engine when its C kernel loads, the scalar v2 engine
     otherwise (identical answers either way).
     """
 

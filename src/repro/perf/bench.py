@@ -1,9 +1,10 @@
 """Timed runners for the interval-DP engines over the generator families.
 
 Each :class:`BenchCase` pins one instance (family + parameters + seed) and
-is solved by up to four implementations — the v2 bottom-up engine, the v3
-vectorized engine (when numpy is importable), the v1 trampoline engine,
-and the frozen pre-engine seed solver — with warmup and repeat control;
+is solved by up to four implementations — the v2 bottom-up engine, the
+compiled v4 engine (when its kernel loads; reported in the accelerated
+``engine_v3`` column), the v1 trampoline engine, and the frozen
+pre-engine seed solver — with warmup and repeat control;
 solvers are constructed fresh for every timed run so memo tables never
 leak between repetitions.  The runner differentially asserts
 that every measured implementation agrees on feasibility and value for
@@ -26,17 +27,17 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core import vector_kernels
+from ..core import combine_kernel
 from ..core.dp_profile import IntervalDecomposition
 from ..core.jobs import MultiprocessorInstance
 from ..core.interval_dp import (
     ENGINE_NAME,
     ENGINE_VERSION,
+    CompiledDPEngine,
     GapObjective,
     IntervalDPEngine,
     PowerObjective,
     TrampolineDPEngine,
-    VectorizedDPEngine,
     staircase_schedule,
 )
 from ..generators import (
@@ -211,8 +212,7 @@ def default_cases(quick: bool = False) -> List[BenchCase]:
             alpha=2.0,
             seed_baseline=False,
         ),
-        # Vectorization headline cases: power at p = 4 is where the v3
-        # min-plus kernels have the most arithmetic per staged node, so
+        # Power at p = 4 has the most combine arithmetic per node, so
         # these two anchor the ``speedup_vs_v2`` column.  They skip the
         # seed baseline for the same reason the n = 80 cases do.
         BenchCase(
@@ -378,7 +378,7 @@ def _engine_solve(case: BenchCase, instance, engine_cls=IntervalDPEngine):
 
     Does what the solver classes do — decomposition, objective, engine run,
     staircase schedule — but with the evaluator named explicitly, so the
-    v1, v2 and v3 columns time their own engine whatever numpy offers.
+    v1, v2 and compiled columns each time their own engine.
     """
     decomp = IntervalDecomposition(instance)
     if case.objective == "gaps":
@@ -581,13 +581,15 @@ def _run_case(payload: Tuple) -> Dict:
     v3_timing = None
     speedup_vs_v2 = None
     v3_stats = None
-    if compare_v3 and vector_kernels.numpy_available():
+    if compare_v3 and combine_kernel.load() is not None:
         v3_feasible, v3_value, v3_stats = _engine_solve(
-            case, instance, VectorizedDPEngine
+            case, instance, CompiledDPEngine
         )
-        _assert_agreement(case, "engine v3", feasible, value, (v3_feasible, v3_value))
+        _assert_agreement(
+            case, "compiled engine", feasible, value, (v3_feasible, v3_value)
+        )
         v3_timing = time_callable(
-            lambda: _engine_solve(case, instance, VectorizedDPEngine),
+            lambda: _engine_solve(case, instance, CompiledDPEngine),
             repeats,
             warmup,
         )
@@ -680,10 +682,11 @@ def run_bench(
         Also time the v1 trampoline engine and report ``speedup_vs_v1``;
         disabling this leaves engine_v1/speedup_vs_v1 null.
     compare_v3:
-        Also time the v3 vectorized engine and report ``speedup_vs_v2``
-        (engine median / engine_v3 median).  Silently skipped — columns
-        left null — when numpy is unavailable, so the same invocation
-        works on both sides of the with/without-numpy CI matrix.
+        Also time the compiled v4 engine in the ``engine_v3`` column and
+        report ``speedup_vs_v2`` (engine median / engine_v3 median).
+        Silently skipped — columns left null — when the kernel is
+        unavailable, so the same invocation works on hosts with and
+        without a C compiler.
     cases:
         Explicit case list overriding :func:`default_cases`.
     progress:

@@ -15,9 +15,11 @@ Top-level keys::
     seed          master instance-generator seed
     repeats       timed repetitions per solver per case
     warmup        untimed warmup runs per solver per case
-    environment   {"python", "implementation", "platform", "numpy"} —
-                  ``numpy`` is the imported numpy version, or null when the
-                  run had no numpy (v3 columns will be null too)
+    environment   {"python", "implementation", "platform", "kernel"} —
+                  ``kernel`` identifies the compiler that built the compiled
+                  engine's kernel, or is null when the kernel was
+                  unavailable and only v2 ran (the engine_v3 columns are
+                  null too)
     cases         list of per-case records
 
 Per-case keys::
@@ -31,14 +33,15 @@ Per-case keys::
     value           optimal objective value (null when infeasible)
     engine          timing block for the v2 (bottom-up scalar) engine
     engine_v1       timing block for the v1 (trampoline) engine (null if skipped)
-    engine_v3       timing block for the v3 (vectorized) engine (null when
-                    skipped or numpy is unavailable)
+    engine_v3       timing block for the accelerated engine — the compiled
+                    v4 engine since bench-dp/v7 (null when skipped or the
+                    kernel is unavailable)
     baseline        timing block for the frozen seed solver (null if skipped)
     speedup         baseline median / engine median (null if baseline skipped)
     speedup_vs_v1   engine_v1 median / engine median (null if v1 skipped)
-    speedup_vs_v2   engine median / engine_v3 median — the v3-over-v2
-                    within-run speedup (null without engine_v3; ~1.0 on
-                    cases where the kernels fall back to the scalar path)
+    speedup_vs_v2   engine median / engine_v3 median — the accelerated
+                    engine's within-run speedup over v2 (null without
+                    engine_v3)
     decomposed      timing block for the decomposed façade solve, caches off
                     (null on cases without the decompose column)
     speedup_vs_mono engine median / decomposed median (null if not measured)
@@ -53,11 +56,9 @@ Per-case keys::
                     ``engine`` block times the end-to-end raced solve and
                     every other comparison column is null
     engine_stats    pruning/memo counters of one v2 engine run
-    engine_v3_stats counters of one v3 engine run (null without engine_v3);
-                    includes the kernel-engagement counters
-                    ``vector_nodes`` / ``vector_fallback_nodes`` — a case
-                    with ``vector_nodes == 0`` ran entirely on the scalar
-                    fallback, so its ``speedup_vs_v2`` is parity by design
+    engine_v3_stats counters of one accelerated engine run (null without
+                    engine_v3); equal to ``engine_stats`` by the engines'
+                    byte-identity contract
 
 Timing blocks::
 
@@ -80,7 +81,11 @@ produced on different numeric stacks; ``bench-dp/v5`` adds the nullable
 times and the realized certified gap); ``bench-dp/v6`` extends the
 portfolio block for preemptive racing — per-member ``kill_reason``
 (``beaten`` / ``deadline`` / ``admission`` / ``error``), the ``killed``
-member state, and the block-level ``backend`` / ``preemptive`` flags.
+member state, and the block-level ``backend`` / ``preemptive`` flags;
+``bench-dp/v7`` times the compiled v4 engine in the ``engine_v3`` column
+(which no longer carries the numpy kernels' ``vector_*`` counters) and
+replaces ``environment.numpy`` with ``environment.kernel``, the id of the
+compiler that built the kernel.
 Portfolio cases carry no v1 column and their wall time is pinned by the
 budget, not the machine, so :func:`compare_reports` records them as
 skipped instead of gating them.
@@ -105,7 +110,7 @@ __all__ = [
     "DEFAULT_REGRESSION_MIN_MEDIAN",
 ]
 
-BENCH_SCHEMA = "repro.perf/bench-dp/v6"
+BENCH_SCHEMA = "repro.perf/bench-dp/v7"
 
 #: A case regresses when its fresh engine median exceeds the committed
 #: median by more than this factor.
@@ -171,17 +176,18 @@ class BenchSchemaError(ValueError):
 def environment_fingerprint() -> Dict[str, Any]:
     """The environment block stamped into every report.
 
-    ``numpy`` records the imported numpy version (null when absent) so
-    report consumers — and :func:`compare_reports` — can tell whether two
-    reports were produced on the same numeric stack.
+    ``kernel`` records the compiler that built the compiled engine's
+    kernel (null when the kernel is unavailable) so report consumers — and
+    :func:`compare_reports` — can tell whether two reports timed the same
+    native code.
     """
-    from ..core.vector_kernels import numpy_version
+    from ..core.combine_kernel import compiler_id
 
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
-        "numpy": numpy_version(),
+        "kernel": compiler_id(),
     }
 
 
@@ -305,10 +311,10 @@ def validate_report(data: Any) -> None:
     _require_keys(
         "report.environment",
         environment,
-        {"python", "implementation", "platform", "numpy"},
+        {"python", "implementation", "platform", "kernel"},
     )
-    if environment["numpy"] is not None and not isinstance(environment["numpy"], str):
-        raise BenchSchemaError("report.environment.numpy must be a string or null")
+    if environment["kernel"] is not None and not isinstance(environment["kernel"], str):
+        raise BenchSchemaError("report.environment.kernel must be a string or null")
     cases = data["cases"]
     if not isinstance(cases, list) or not cases:
         raise BenchSchemaError("report.cases must be a non-empty list")
@@ -411,11 +417,11 @@ def compare_reports(
     only one report as ``unmatched``.
 
     Cross-stack awareness: when the two reports were produced on different
-    numeric stacks (different or missing numpy, or a different interpreter
-    version), absolute v3 timings are not comparable, so a note is added
-    to ``warnings`` — reported, never gated.  Schema-v3 reports have no
-    environment ``numpy`` key; they compare cleanly with no warning about
-    it beyond the generic mismatch note.
+    stacks (a different or missing kernel compiler, or a different
+    interpreter version), absolute compiled-engine timings are not
+    comparable, so a note is added to ``warnings`` — reported, never
+    gated.  Reports older than bench-dp/v7 have no environment ``kernel``
+    key; they compare with the generic mismatch note.
 
     Returns ``{"regressions": [...], "compared": [...], "skipped": [...],
     "unmatched": [...], "warnings": [...]}`` where each regression entry
@@ -433,14 +439,14 @@ def compare_reports(
     warnings: List[str] = []
     fresh_env = fresh.get("environment") or {}
     committed_env = committed.get("environment") or {}
-    for key, label in (("numpy", "numpy"), ("python", "Python")):
+    for key, label in (("kernel", "kernel compiler"), ("python", "Python")):
         mine = fresh_env.get(key)
         theirs = committed_env.get(key)
         if mine != theirs:
             warnings.append(
                 f"{label} version differs between reports "
                 f"(fresh: {mine or 'absent'}, committed: {theirs or 'absent'}); "
-                "v3 timings are not directly comparable across numeric stacks "
+                "compiled-engine timings are not directly comparable across stacks "
                 "— the gate keys on within-run ratios and is unaffected"
             )
     fresh_names = set()

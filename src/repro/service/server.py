@@ -11,7 +11,8 @@ API surface (all JSON)::
 
     POST /v1/jobs               submit {"problem": <tagged>, "client_id",
                                 "priority", "solver"} -> 202 {"id", "state"}
-                                (400 bad body or Content-Length, 413 body
+                                (400 bad body or Content-Length, 408 body
+                                not sent within REQUEST_TIMEOUT_S, 413 body
                                 over MAX_BODY_BYTES, 429 structured denial,
                                 503 while draining)
     GET  /v1/jobs/<id>          status view             -> 200 (404 unknown)
@@ -39,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -57,6 +59,11 @@ __all__ = ["ServiceServer", "start_service"]
 #: problem — a few hundred kilobytes even at thousands of jobs — so this
 #: only refuses bodies no legitimate client sends.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Seconds a connection may stall on any read — a request line, headers,
+#: or a body shorter than its declared Content-Length — before the server
+#: gives up on it, so a slow or stalled client cannot pin a handler thread.
+REQUEST_TIMEOUT_S = 30.0
 
 
 class _BadRequest(ValueError):
@@ -80,6 +87,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # operational visibility comes from /v1/stats, not stderr spam
+
+    @property
+    def timeout(self) -> float:
+        # Read by StreamRequestHandler.setup() as the socket timeout.
+        return REQUEST_TIMEOUT_S
 
     @property
     def service(self) -> "ServiceServer":
@@ -110,7 +122,14 @@ class _Handler(BaseHTTPRequestHandler):
                 status=413,
                 close=True,
             )
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except socket.timeout as exc:
+            raise _BadRequest(
+                f"request body not received within {REQUEST_TIMEOUT_S:g} s",
+                status=408,
+                close=True,
+            ) from exc
         if not raw:
             raise _BadRequest("request body must be a JSON object")
         try:

@@ -1,21 +1,23 @@
-"""Differential and cache-correctness suite for the v3 vectorized engine.
+"""Differential and cache-correctness suite for the compiled (v4) engine.
 
-The v3 kernels carry a byte-identity contract with the v2 scalar evaluator
-(same costs bit-for-bit, same choice tuples, same base stats counters), so
+The compiled combine kernel carries a byte-identity contract with the v2
+scalar evaluator (same costs bit-for-bit, same choices, same counters), so
 everything here compares *exact* equality — never approximate: the façade
-envelopes with numpy on (v3) and masked out (v2), the v1 trampoline at
-engine level, a hypothesis sweep over random instances with the power
-kernels forced on (gap engines must never build one), the scalar fallback
-with numpy masked out, and the disk-cache replay of v3 engine metadata
-(including the kernel-engagement counters) across a simulated process
-boundary.
+envelopes with the kernel loaded (v4) and made unavailable (v2), the v1
+trampoline at engine level, hypothesis sweeps at p = 1..4 on both
+objectives, fixed large cases the brute-force oracles cannot reach, the
+v2 fallback, the disk-cache replay of engine metadata across a simulated
+process boundary, and the kernel's build cache across real processes.
 
-Every test in this file runs on installs without numpy too: v3-specific
-paths degrade to asserting the fallback (``build_engine`` returning the
-scalar v2 evaluator) instead of being skipped wholesale.
+Tests that need the kernel skip on hosts without a C compiler; the
+fallback tests run everywhere.
 """
 
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,19 +25,20 @@ from hypothesis import strategies as st
 
 from repro.api import MultiprocessorInstance, Problem, solve, to_json
 from repro.api import clear_solve_cache, configure_solve_cache
-from repro.core import vector_kernels
+from repro.core import combine_kernel
 from repro.core.dp_profile import IntervalDecomposition
 from repro.core.interval_dp import (
     BOTTOM_UP_ENGINE_VERSION,
+    COMPILED_ENGINE_VERSION,
     ENGINE_VERSION,
-    VECTOR_ENGINE_VERSION,
+    CompiledDPEngine,
     GapObjective,
     IntervalDPEngine,
     PowerObjective,
     TrampolineDPEngine,
-    VectorizedDPEngine,
     build_engine,
 )
+from repro.core.jobs import Job
 from repro.generators import (
     random_multiprocessor_instance,
     random_one_interval_instance,
@@ -43,12 +46,16 @@ from repro.generators import (
 from repro.runtime import DiskSolveCache, configure_disk_cache
 from repro.runtime.diskcache import cache_key_digest
 
-numpy_installed = vector_kernels.numpy_available()
-needs_numpy = pytest.mark.skipif(not numpy_installed, reason="requires numpy")
+kernel_loaded = combine_kernel.load() is not None
+needs_kernel = pytest.mark.skipif(
+    not kernel_loaded, reason="needs a C compiler for the combine kernel"
+)
 
 FAST = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(autouse=True)
@@ -84,12 +91,25 @@ def differential_workload(count=12):
     return problems
 
 
+def planted_instance(seed, num_jobs, num_processors, horizon, max_window):
+    """Feasible by construction: every window contains a distinct planted slot."""
+    rng = random.Random(seed)
+    slots = [t for t in range(horizon) for _ in range(num_processors)]
+    jobs = []
+    for t in rng.sample(slots, num_jobs):
+        width = rng.randint(1, max_window)
+        release = max(0, t - rng.randint(0, width - 1))
+        deadline = min(horizon - 1, release + width - 1)
+        jobs.append(Job(release=release, deadline=max(deadline, t)))
+    return MultiprocessorInstance(jobs, num_processors)
+
+
 def envelope_and_engine_meta(problem):
     """Canonical envelope JSON with the engine-identity block split out.
 
-    The engine block names the evaluator (version, numpy, stats), which
-    *must* differ across engines; everything else — status, value,
-    schedule, exactness — must not.
+    The engine block names the evaluator (version, stats), which *must*
+    differ across engines in its version; everything else — status,
+    value, schedule, exactness — must not.
     """
     result = solve(problem)
     data = json.loads(to_json(result))
@@ -121,21 +141,40 @@ def facade_sweep(problems):
     return [env for env, _meta in pairs], [meta for _env, meta in pairs]
 
 
+def assert_identical(instance, make_objective, engines=(CompiledDPEngine,)):
+    """Each engine matches v2 exactly: value repr, assignment, six counters.
+
+    v1 is held to the value only: it evaluates lazily, so its counters
+    differ by design and it may pick another optimum among ties.
+    """
+    reference = IntervalDPEngine(build_decomp(instance), make_objective())
+    expected = reference.solve()
+    for engine_cls in engines:
+        engine = engine_cls(build_decomp(instance), make_objective())
+        got = engine.solve()
+        assert got.feasible == expected.feasible
+        assert repr(got.value) == repr(expected.value)  # bit-identical, incl. floats
+        if engine_cls is not TrampolineDPEngine:
+            assert got.assignment == expected.assignment
+            assert engine.stats.as_dict() == reference.stats.as_dict()
+    return expected
+
+
 # ---------------------------------------------------------------------------
-# the differential workload: v3 == v2 == v1, byte for byte
+# the differential workload: v4 == v2 == v1, byte for byte
 # ---------------------------------------------------------------------------
 class TestEnvelopeIdentity:
     def test_all_engines_agree_byte_for_byte(self, monkeypatch):
         problems = differential_workload()
         envelopes = {}
         metas = {}
-        # v3 is what solve() runs when numpy imports; masking numpy out
-        # makes the same façade path run v2.
-        if numpy_installed:
-            envelopes["v3"], metas["v3"] = facade_sweep(problems)
-        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
+        # v4 is what solve() runs when the kernel loads; making it
+        # unavailable makes the same façade path run v2.
+        if kernel_loaded:
+            envelopes["v4"], metas["v4"] = facade_sweep(problems)
+        monkeypatch.setattr(combine_kernel, "_loaded", None)
         envelopes["v2"], metas["v2"] = facade_sweep(problems)
-        assert all(meta["version"] == "2.0" for meta in metas["v2"])
+        assert all(meta["version"] == BOTTOM_UP_ENGINE_VERSION for meta in metas["v2"])
         # v1 has no façade route: compare it with v2 at engine level, where
         # value and assignment determine everything the envelope carries.
         for problem in problems:
@@ -144,62 +183,34 @@ class TestEnvelopeIdentity:
             assert v1.feasible == v2.feasible
             assert repr(v1.value) == repr(v2.value)
             assert v1.assignment == v2.assignment
-        if numpy_installed:
-            assert envelopes["v3"] == envelopes["v2"]
-            assert all(
-                meta["version"] == VECTOR_ENGINE_VERSION for meta in metas["v3"]
-            )
-            # The kernels account work analytically: the base counters of a
-            # v3 run match the scalar evaluator's exactly; only the
-            # kernel-dispatch counters are extra.
-            for v3_meta, v2_meta in zip(metas["v3"], metas["v2"]):
-                v3_stats = dict(v3_meta["stats"])
-                for key in ("vector_nodes", "vector_fallback_nodes", "vector_splits"):
-                    v3_stats.pop(key)
-                assert v3_stats == v2_meta["stats"]
+        if kernel_loaded:
+            assert envelopes["v4"] == envelopes["v2"]
+            for v4_meta, v2_meta in zip(metas["v4"], metas["v2"]):
+                assert v4_meta["version"] == COMPILED_ENGINE_VERSION
+                assert v4_meta["stats"] == v2_meta["stats"]
+                assert set(v4_meta) == set(v2_meta)
 
     def test_engine_meta_names_the_engine(self, monkeypatch):
-        if numpy_installed:
+        if kernel_loaded:
             _env, meta = envelope_and_engine_meta(differential_workload(1)[0])
-            assert meta["version"] == VECTOR_ENGINE_VERSION
-            assert meta["numpy"] == vector_kernels.numpy_version()
-        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
+            assert meta["version"] == COMPILED_ENGINE_VERSION
+        monkeypatch.setattr(combine_kernel, "_loaded", None)
         clear_solve_cache()
         _env, meta = envelope_and_engine_meta(differential_workload(1)[0])
         assert meta["version"] == BOTTOM_UP_ENGINE_VERSION
-        assert "numpy" not in meta
+        assert set(meta) == {"name", "version", "objective", "stats"}
 
 
 # ---------------------------------------------------------------------------
-# hypothesis: random instances, kernels forced on, both objectives
+# hypothesis: random instances, p = 1..4, both objectives, v4 vs v2 vs v1
 # ---------------------------------------------------------------------------
-@needs_numpy
+@needs_kernel
 class TestPropertyIdentity:
-    def assert_engines_identical(self, instance, objective_factory):
-        p = instance.num_processors
-        decomp_v2 = build_decomp(instance)
-        decomp_v3 = build_decomp(instance)
-        scalar = IntervalDPEngine(decomp_v2, objective_factory(p))
-        # vector_min_work=0 forces the kernels even where the size
-        # heuristic would fall back (and even at p = 1).
-        vector = VectorizedDPEngine(
-            decomp_v3, objective_factory(p), vector_min_work=0
-        )
-        a, b = scalar.solve(), vector.solve()
-        assert a.feasible == b.feasible
-        assert repr(a.value) == repr(b.value)  # bit-identical, incl. floats
-        assert a.assignment == b.assignment
-        v3_stats = vector.stats.as_dict()
-        for key in ("vector_nodes", "vector_fallback_nodes", "vector_splits"):
-            v3_stats.pop(key)
-        assert v3_stats == scalar.stats.as_dict()
-        return vector
-
     @FAST
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
         num_jobs=st.integers(min_value=1, max_value=9),
-        num_processors=st.integers(min_value=1, max_value=3),
+        num_processors=st.integers(min_value=1, max_value=4),
     )
     def test_gap_objective(self, seed, num_jobs, num_processors):
         instance = random_multiprocessor_instance(
@@ -209,19 +220,18 @@ class TestPropertyIdentity:
             max_window=4,
             seed=seed,
         )
-        vector = self.assert_engines_identical(instance, lambda p: GapObjective(p))
-        # Gap tables are occupancy-labelled: no kernel is built even when
-        # forced, so every branch node runs the scalar combine.
-        assert vector._kernel is None
-        assert vector.stats.vector_nodes == 0
-        assert vector.stats.vector_splits == 0
+        assert_identical(
+            instance,
+            lambda: GapObjective(num_processors),
+            engines=(CompiledDPEngine, TrampolineDPEngine),
+        )
 
     @FAST
     @given(
         seed=st.integers(min_value=0, max_value=10**6),
         num_jobs=st.integers(min_value=1, max_value=9),
-        num_processors=st.integers(min_value=1, max_value=3),
-        alpha=st.sampled_from([0.5, 1.0, 2.0, 3.7]),
+        num_processors=st.integers(min_value=1, max_value=4),
+        alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7, 0.1]),
     )
     def test_power_objective(self, seed, num_jobs, num_processors, alpha):
         instance = random_multiprocessor_instance(
@@ -231,26 +241,48 @@ class TestPropertyIdentity:
             max_window=4,
             seed=seed,
         )
-        vector = self.assert_engines_identical(
-            instance, lambda p: PowerObjective(p, alpha)
+        assert_identical(
+            instance,
+            lambda: PowerObjective(num_processors, alpha),
+            engines=(CompiledDPEngine, TrampolineDPEngine),
         )
-        # With the kernels forced on, every branch node that combines
-        # split children goes through them — none may silently fall back
-        # (tiny instances legitimately have no branch nodes at all).
-        assert vector._kernel is not None
-        assert vector.stats.vector_fallback_nodes == 0
 
 
 # ---------------------------------------------------------------------------
-# forced fallback: numpy masked out
+# fixed cases beyond the brute-force oracles' reach
+# ---------------------------------------------------------------------------
+@needs_kernel
+class TestLargeCases:
+    @pytest.mark.parametrize(
+        "num_jobs,num_processors,horizon,max_window",
+        [(35, 3, 26, 26), (100, 3, 75, 18)],
+        ids=["n35-p3", "n100-p3-narrow"],
+    )
+    @pytest.mark.parametrize("objective", ["gaps", "power"])
+    def test_matches_v2(self, num_jobs, num_processors, horizon, max_window, objective):
+        instance = planted_instance(7, num_jobs, num_processors, horizon, max_window)
+        make = {
+            "gaps": lambda: GapObjective(num_processors),
+            "power": lambda: PowerObjective(num_processors, 2.5),
+        }[objective]
+        outcome = assert_identical(instance, make)
+        assert outcome.feasible
+
+    def test_many_processors(self):
+        # The kernel sizes everything from P = p + 1 at run time: no cap.
+        instance = planted_instance(3, 40, 16, 5, 3)
+        for make in (lambda: GapObjective(16), lambda: PowerObjective(16, 1.5)):
+            assert assert_identical(instance, make).feasible
+
+
+# ---------------------------------------------------------------------------
+# fallback: the kernel unavailable
 # ---------------------------------------------------------------------------
 class TestForcedFallback:
     def test_auto_degrades_to_v2_and_v3_is_refused(self, monkeypatch):
-        # Without numpy the automatic choice is the scalar v2 engine, and
-        # a directly constructed v3 engine refuses to build its kernel even
-        # when forced.
-        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
-        assert not vector_kernels.numpy_available()
+        # Without the kernel the automatic choice is the scalar v2 engine,
+        # and the accelerated engine refuses to be built.
+        monkeypatch.setattr(combine_kernel, "_loaded", None)
         instance = random_multiprocessor_instance(
             num_jobs=8, num_processors=2, horizon=12, seed=3
         )
@@ -259,75 +291,136 @@ class TestForcedFallback:
             assert type(engine) is IntervalDPEngine
             engine.solve()
             assert engine.metadata()["version"] == BOTTOM_UP_ENGINE_VERSION
-        forced = VectorizedDPEngine(
-            build_decomp(instance), PowerObjective(2, 2.0), vector_min_work=0
-        )
-        assert forced._kernel is None
+        with pytest.raises(RuntimeError, match="unavailable"):
+            CompiledDPEngine(build_decomp(instance), PowerObjective(2, 2.0))
 
     def test_scalar_path_is_exercised_and_identical(self, monkeypatch):
         instance = random_multiprocessor_instance(
             num_jobs=10, num_processors=2, horizon=14, seed=5
         )
-        decomp = build_decomp(instance)
         reference = IntervalDPEngine(build_decomp(instance), PowerObjective(2, 2.0))
         expected = reference.solve()
-        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
-        # A directly-constructed v3 evaluator without numpy must not crash:
-        # it runs the whole solve on the inherited scalar path.
-        engine = VectorizedDPEngine(decomp, PowerObjective(2, 2.0), vector_min_work=0)
+        monkeypatch.setattr(combine_kernel, "_loaded", None)
+        engine = build_engine(build_decomp(instance), PowerObjective(2, 2.0))
         outcome = engine.solve()
-        assert outcome.feasible == expected.feasible
+        assert type(engine) is IntervalDPEngine
         assert repr(outcome.value) == repr(expected.value)
         assert outcome.assignment == expected.assignment
-        # Every branch node is accounted as a fallback (numpy unavailable),
-        # none as kernel-combined; the base counters match the scalar
-        # evaluator's exactly.
-        assert engine.stats.vector_nodes == 0
-        assert engine.stats.vector_splits == 0
-        assert engine.stats.vector_fallback_nodes > 0
-        v3_stats = engine.stats.as_dict()
-        for key in ("vector_nodes", "vector_fallback_nodes", "vector_splits"):
-            v3_stats.pop(key)
-        assert v3_stats == reference.stats.as_dict()
+        assert engine.stats.as_dict() == reference.stats.as_dict()
 
-    def test_facade_answers_identically_without_numpy(self, monkeypatch):
+    def test_facade_answers_identically_without_kernel(self, monkeypatch):
         problems = differential_workload(6)
-        with_numpy = [envelope_and_engine_meta(p)[0] for p in problems]
-        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
+        with_kernel = [envelope_and_engine_meta(p)[0] for p in problems]
+        monkeypatch.setattr(combine_kernel, "_loaded", None)
         clear_solve_cache()
-        without_numpy = [envelope_and_engine_meta(p)[0] for p in problems]
-        assert without_numpy == with_numpy
+        without_kernel = [envelope_and_engine_meta(p)[0] for p in problems]
+        assert without_kernel == with_kernel
+
+    def test_missing_compiler_means_no_kernel(self, monkeypatch):
+        monkeypatch.setenv("CC", "repro-no-such-compiler")
+        assert combine_kernel._build_and_load() is None
+
+
+# ---------------------------------------------------------------------------
+# the kernel's build cache, across real processes
+# ---------------------------------------------------------------------------
+_LOADER = """
+import json, sys
+from repro.core import combine_kernel
+combine_kernel._cache_dirs = lambda: [sys.argv[1]]
+compiled = []
+if sys.argv[2] == "no-compile":
+    def _compile(*args):
+        compiled.append(args)
+        raise AssertionError("compiled although a cached build exists")
+    combine_kernel._compile = _compile
+print(json.dumps({"loaded": combine_kernel.load() is not None}))
+"""
+
+
+def _loader(directory, mode="build"):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen(
+        [sys.executable, "-c", _LOADER, str(directory), mode],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _finish(proc):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return json.loads(out)
+
+
+def _libraries(directory):
+    return sorted(name for name in os.listdir(directory) if name.endswith(".so"))
+
+
+@needs_kernel
+class TestBuildCache:
+    def test_second_process_loads_without_compiling(self, tmp_path):
+        assert _finish(_loader(tmp_path))["loaded"]
+        [library] = _libraries(tmp_path)
+        assert not library.startswith(".")
+        assert _finish(_loader(tmp_path, "no-compile"))["loaded"]
+        assert _libraries(tmp_path) == [library]
+
+    def test_concurrent_first_builds_both_succeed(self, tmp_path):
+        procs = [_loader(tmp_path), _loader(tmp_path)]
+        assert all(_finish(proc)["loaded"] for proc in procs)
+        # One published library, no temp files left behind.
+        assert len(_libraries(tmp_path)) == 1
+        assert _finish(_loader(tmp_path, "no-compile"))["loaded"]
+
+    def test_truncated_library_is_rebuilt(self, tmp_path):
+        assert _finish(_loader(tmp_path))["loaded"]
+        [library] = _libraries(tmp_path)
+        path = tmp_path / library
+        size = path.stat().st_size
+        with open(path, "r+b") as handle:
+            handle.truncate(64)
+        assert _finish(_loader(tmp_path))["loaded"]
+        assert path.stat().st_size == size
 
 
 # ---------------------------------------------------------------------------
 # disk-cache correctness across the ENGINE_VERSION bump
 # ---------------------------------------------------------------------------
 class TestCacheCorrectness:
-    def test_engine_version_bumped_for_v3(self):
+    def test_engine_version_bumped_for_v4(self):
         # The namespace bump is the disk-cache invalidation mechanism: any
-        # pre-v3 install's entries become invisible, never replayed.
-        assert ENGINE_VERSION == "3.0"
+        # pre-v4 install's entries become invisible, never replayed.
+        assert ENGINE_VERSION == "4.0"
 
     def test_pre_v3_entries_are_cold_misses(self, tmp_path, monkeypatch):
-        key = (("gaps",), (2, (0, 5), ((0, 3), (1, 4))))
-        entry = (True, 1, ((0, 1), (1, 3)), {"name": "interval-dp", "version": "2.0"})
-        # Write the entry as a pre-upgrade process would have: under the
-        # old engine-version namespace and stamped with the old version.
-        monkeypatch.setattr("repro.runtime.diskcache.ENGINE_VERSION", "2.0")
-        old = DiskSolveCache(str(tmp_path))
-        old.put(key, entry)
-        assert old.get(key) == entry
-        monkeypatch.undo()
-        upgraded = DiskSolveCache(str(tmp_path))
-        assert upgraded.get(key) is None  # cold miss, not a stale replay
-        stats = upgraded.stats()
-        assert stats["entries"] == 0 and stats["stale_entries"] == 1
-        # Same-version roundtrip still works in the new namespace.
-        upgraded.put(key, entry)
-        assert upgraded.get(key) == entry
+        # Entries of the v2 (2.0) and numpy v3 (3.0) generations alike.
+        for old_version in ("2.0", "3.0"):
+            directory = str(tmp_path / old_version)
+            key = (("gaps",), (2, (0, 5), ((0, 3), (1, 4))))
+            entry = (
+                True, 1, ((0, 1), (1, 3)),
+                {"name": "interval-dp", "version": old_version},
+            )
+            # Write the entry as a pre-upgrade process would have: under the
+            # old engine-version namespace and stamped with the old version.
+            monkeypatch.setattr("repro.runtime.diskcache.ENGINE_VERSION", old_version)
+            old = DiskSolveCache(directory)
+            old.put(key, entry)
+            assert old.get(key) == entry
+            monkeypatch.undo()
+            upgraded = DiskSolveCache(directory)
+            assert upgraded.get(key) is None  # cold miss, not a stale replay
+            stats = upgraded.stats()
+            assert stats["entries"] == 0 and stats["stale_entries"] == 1
+            # Same-version roundtrip still works in the new namespace.
+            upgraded.put(key, entry)
+            assert upgraded.get(key) == entry
 
-    @needs_numpy
-    def test_v3_disk_hit_replays_kernel_stats_verbatim(self, tmp_path, monkeypatch):
+    @needs_kernel
+    def test_compiled_disk_hit_replays_engine_meta_verbatim(self, tmp_path, monkeypatch):
         configure_disk_cache(str(tmp_path))
         instance = random_multiprocessor_instance(
             num_jobs=12, num_processors=2, horizon=14, seed=9
@@ -335,40 +428,36 @@ class TestCacheCorrectness:
         problem = Problem(objective="power", instance=instance, alpha=2.0)
         first = solve(problem)
         meta = first.extra["engine"]
-        assert meta["version"] == VECTOR_ENGINE_VERSION
-        assert meta["numpy"] == vector_kernels.numpy_version()
-        assert meta["stats"]["vector_nodes"] > 0  # the kernels really ran
+        assert meta["version"] == COMPILED_ENGINE_VERSION
         # Simulate a new process: drop the memory tier, keep the disk tier,
-        # and mask numpy out (so a fresh solve would run v2) — a verbatim
-        # replay must still carry the original v3 metadata, not the new
-        # process's evaluator.
+        # and make the kernel unavailable (so a fresh solve would run v2) —
+        # a verbatim replay must still carry the original v4 metadata, not
+        # the new process's evaluator.
         configure_solve_cache(0)
         configure_solve_cache(256)
         clear_solve_cache()
-        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
+        monkeypatch.setattr(combine_kernel, "_loaded", None)
         second = solve(problem)
         assert to_json(second) == to_json(first)
         assert second.extra["engine"] == meta
-        assert second.extra["engine"]["stats"]["vector_nodes"] == (
-            meta["stats"]["vector_nodes"]
-        )
 
-    @needs_numpy
+    @needs_kernel
     def test_v2_and_v3_share_cache_entries_safely(self, tmp_path, monkeypatch):
-        # Byte-identity makes the engines interchangeable *within* the
-        # shared version namespace: a v2-populated entry answers a v3
-        # solve with the identical envelope (modulo the replayed meta).
+        # Byte-identity makes v2 and the compiled engine interchangeable
+        # *within* the shared version namespace: a v2-populated entry
+        # answers a compiled-engine solve with the identical envelope.
         configure_disk_cache(str(tmp_path))
         instance = random_one_interval_instance(
             num_jobs=8, horizon=16, max_window=5, seed=4
         )
         problem = Problem(objective="gaps", instance=instance)
-        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
+        loaded = combine_kernel.load()
+        monkeypatch.setattr(combine_kernel, "_loaded", None)
         first = solve(problem)
         configure_solve_cache(0)
         configure_solve_cache(256)
         clear_solve_cache()
-        monkeypatch.setattr(vector_kernels, "_DISABLED", False)
+        monkeypatch.setattr(combine_kernel, "_loaded", loaded)
         second = solve(problem)
         assert to_json(second) == to_json(first)
 

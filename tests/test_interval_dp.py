@@ -18,11 +18,11 @@ from repro.core.interval_dp import (
     ENGINE_NAME,
     ENGINE_VERSION,
     TRAMPOLINE_ENGINE_VERSION,
+    CompiledDPEngine,
     GapObjective,
     IntervalDPEngine,
     PowerObjective,
     TrampolineDPEngine,
-    VectorizedDPEngine,
     build_engine,
     staircase_schedule,
 )
@@ -88,17 +88,17 @@ class TestEngineOutcome:
         assert meta["version"] == TRAMPOLINE_ENGINE_VERSION
 
     def test_build_engine_selectors(self, monkeypatch):
-        # The evaluator is selected by the platform alone: v3 when numpy
-        # imports, v2 when it does not.
-        from repro.core import vector_kernels
+        # The evaluator is selected by the platform alone: v4 when the
+        # combine kernel loads, v2 when it does not.
+        from repro.core import combine_kernel
 
         instance = MultiprocessorInstance.from_pairs([(0, 3)], num_processors=1)
         decomp = IntervalDecomposition(instance)
         expected = (
-            VectorizedDPEngine if vector_kernels.numpy_available() else IntervalDPEngine
+            CompiledDPEngine if combine_kernel.load() is not None else IntervalDPEngine
         )
         assert type(build_engine(decomp, GapObjective(1))) is expected
-        monkeypatch.setattr(vector_kernels, "_DISABLED", True)
+        monkeypatch.setattr(combine_kernel, "_loaded", None)
         assert type(build_engine(decomp, GapObjective(1))) is IntervalDPEngine
 
     def test_power_objective_rejects_negative_alpha(self):

@@ -32,7 +32,7 @@ def make_report(median=0.01, name="gap/test-n10-p1"):
             "python": "3.11",
             "implementation": "CPython",
             "platform": "test",
-            "numpy": None,
+            "kernel": None,
         },
         "cases": [
             {

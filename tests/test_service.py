@@ -34,6 +34,7 @@ from repro.api import (
 )
 from repro.api.registry import _REGISTRY, register_solver
 from repro.service import ServiceClient, ServiceError, ServiceServer
+from repro.service import server as server_module
 from repro.service.server import MAX_BODY_BYTES
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -131,11 +132,12 @@ def make_server(tmp_path):
         server.stop()
 
 
-def _post_with_content_length(server, content_length):
+def _post_with_content_length(server, content_length, body=b""):
     """POST /v1/jobs over a bare socket with a hand-written Content-Length.
 
-    Reads until the server hangs up, so a handler thread left blocked on
-    the body shows up as a socket timeout.  Returns (status, payload,
+    Sends ``body`` (possibly shorter than the declared length) and reads
+    until the server hangs up, so a handler thread left blocked on the
+    body shows up as a socket timeout.  Returns (status, payload,
     Connection header).
     """
     url = urllib.parse.urlsplit(server.url)
@@ -146,7 +148,7 @@ def _post_with_content_length(server, content_length):
     )
     chunks = []
     with socket.create_connection((url.hostname, url.port), timeout=5.0) as sock:
-        sock.sendall(request)
+        sock.sendall(request + body)
         while True:
             chunk = sock.recv(65536)
             if not chunk:
@@ -394,6 +396,25 @@ class TestHttpSurface:
         assert connection == "close"
         assert ServiceClient(server.url).health()["status"] == "ok"
 
+    def test_stalled_body_times_out(self, make_server, monkeypatch):
+        # A valid Content-Length followed by half the body: the handler
+        # must give up after REQUEST_TIMEOUT_S, answer 408 and free its
+        # thread instead of waiting for the client to disconnect.
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.3)
+        server = make_server()
+        baseline = threading.active_count()
+        got, payload, connection = _post_with_content_length(
+            server, "100", body=b'{"problem": {' + b" " * 37
+        )
+        assert got == 408
+        assert "not received" in payload["error"]
+        assert connection == "close"
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= baseline
+        assert ServiceClient(server.url).health()["status"] == "ok"
+
     def test_result_not_ready_is_202(self, make_server):
         server = make_server(window=1)
         client = ServiceClient(server.url, client_id="poll")
@@ -489,10 +510,10 @@ class TestServiceCLIVerbs:
 
 def _start_serve_subprocess(db_path, *extra_args):
     env = dict(os.environ)
-    # Prepend src rather than replace: the daemon must see the same
-    # python-path environment as the test process (e.g. the numpy-masking
-    # shim of the without-numpy leg), or remote and direct solves would
-    # run on different engines and envelope parity would not hold.
+    # Prepend src rather than replace, and inherit the rest (CC included):
+    # the daemon must pick the same engine as the test process (e.g. v2 on
+    # the without-compiler leg), or remote and direct solves would run on
+    # different engines and envelope parity would not hold.
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO_ROOT, "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
