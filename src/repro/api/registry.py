@@ -27,6 +27,7 @@ __all__ = [
     "list_solvers",
     "capable_solvers",
     "select_solver",
+    "registry_fingerprint",
     "solve",
 ]
 
@@ -100,6 +101,17 @@ def get_solver(name: str) -> SolverSpec:
         raise SolverError(
             f"unknown solver {name!r}; registered solvers: {sorted(_REGISTRY)}"
         ) from None
+
+
+def registry_fingerprint() -> Tuple:
+    """Cheap identity of the registered solver set.
+
+    It changes whenever a solver is registered or removed, so forked
+    workers can tell whether they still see the parent's registry.
+    """
+    # list() snapshots the registry in one step, so a concurrent
+    # registration cannot interrupt the iteration.
+    return tuple((name, id(spec)) for name, spec in list(_REGISTRY.items()))
 
 
 def list_solvers(objective: Optional[str] = None) -> List[SolverSpec]:

@@ -66,6 +66,13 @@ CanonicalizableInstance = Union[OneIntervalInstance, MultiprocessorInstance]
 #: Canonical assignment: sorted ``(canonical job slot, column index)`` pairs.
 CanonicalAssignment = Tuple[Tuple[int, int], ...]
 
+#: Interned ``(window, count)`` runs.  Keys of instances with overlapping
+#: windows share them, so each key a cache tier or a caller holds costs
+#: little beyond its own spine (about 0.8 KB instead of 3.5 KB for a
+#: 35-job key).  Capped: past the cap, new runs are simply not shared.
+_RUNS: Dict[Tuple, Tuple] = {}
+_RUNS_MAX = 1 << 13
+
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -119,11 +126,14 @@ def canonical_form(instance: CanonicalizableInstance) -> CanonicalForm:
             compressed[-1][1] += 1
         else:
             compressed.append([window, 1])
-    key = (
-        num_processors,
-        stretches,
-        tuple((window, count) for window, count in compressed),
-    )
+    runs = []
+    for window, count in compressed:
+        run = (window, count)
+        shared = _RUNS.get(run)
+        if shared is None:
+            shared = _RUNS.setdefault(run, run) if len(_RUNS) < _RUNS_MAX else run
+        runs.append(shared)
+    key = (num_processors, stretches, tuple(runs))
     return CanonicalForm(
         key=key,
         num_processors=num_processors,

@@ -1,4 +1,4 @@
-"""Build, cache and load the compiled combine kernel (``combine.c``).
+"""Build, cache and load the compiled interval-DP kernel (``combine.c``).
 
 The kernel is plain C99 loaded through :mod:`ctypes`, so it needs no
 Python headers and no new dependency: only a C compiler, found the way
@@ -8,7 +8,8 @@ file + :func:`os.replace`) into a cache directory — the package's own
 ``__pycache__``, or the user cache directory when that is not writable —
 so every later process only loads it (``dlopen``).  Concurrent first builds
 each publish a complete library; a cached library that no longer loads
-(truncated, say) is rebuilt.
+(truncated, say) is rebuilt.  A compiler that runs longer than
+:data:`COMPILE_TIMEOUT_S` is killed and counts as no compiler.
 
 :func:`load` returns ``None`` when there is no working compiler and no
 cached build: the solvers then run the scalar v2 evaluator, which gives
@@ -23,18 +24,23 @@ import os
 import platform
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
 from typing import List, Optional
 
-__all__ = ["DPRun", "load", "compiler_id"]
+__all__ = ["DPRun", "COMPILE_TIMEOUT_S", "load", "compiler_id"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "combine.c")
 #: Never -ffast-math: the kernel's answers must match the scalar loop bit
 #: for bit, so float operations may be neither contracted nor reordered.
 _FLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-shared", "-fPIC")
+
+#: Seconds a compiler command may run before it is killed and the solvers
+#: fall back to the scalar evaluator (a build takes about half a second).
+COMPILE_TIMEOUT_S = 60.0
 
 _UNSET = object()
 #: The loaded library, ``None`` when unavailable; resolved once per process.
@@ -43,7 +49,12 @@ _load_lock = threading.Lock()
 
 
 class DPRun(ctypes.Structure):
-    """Mirror of ``dp_run`` in ``combine.c`` (same fields, same order)."""
+    """Mirror of ``dp_run`` in ``combine.c`` (same fields, same order).
+
+    The caller fills the inputs (``c_void_p`` addresses of its buffers);
+    ``dp_solve`` fills the node graph and the tables, which the kernel owns
+    until ``dp_release`` frees them and resets the pointers to NULL.
+    """
 
     _fields_ = [
         ("P", ctypes.c_int64),
@@ -57,23 +68,35 @@ class DPRun(ctypes.Structure):
         ("grid_of_k", ctypes.c_void_p),
         ("charges", ctypes.c_void_p),
         ("charge_of", ctypes.c_void_p),
-        ("num_order", ctypes.c_int64),
-        ("order", ctypes.c_void_p),
-        ("kind", ctypes.c_void_p),
-        ("i1", ctypes.c_void_p),
-        ("i2", ctypes.c_void_p),
-        ("k", ctypes.c_void_p),
-        ("split_lo", ctypes.c_void_p),
-        ("split_left", ctypes.c_void_p),
-        ("split_right", ctypes.c_void_p),
-        ("right_end", ctypes.c_void_p),
-        ("plane", ctypes.c_void_p),
-        ("cost", ctypes.c_void_p),
-        ("win", ctypes.c_void_p),
-        ("nonempty", ctypes.c_void_p),
-        ("depth", ctypes.c_void_p),
+        ("single", ctypes.c_void_p),
+        ("empty", ctypes.c_void_p),
+        ("C", ctypes.c_int64),
+        ("n", ctypes.c_int64),
+        ("hall_min_jobs", ctypes.c_int64),
+        ("empty_row", ctypes.c_void_p),
+        ("release_col", ctypes.c_void_p),
+        ("deadline_col", ctypes.c_void_p),
+        ("num_nodes", ctypes.c_int64),
+        ("kind", ctypes.POINTER(ctypes.c_ubyte)),
+        ("i1", ctypes.POINTER(ctypes.c_int64)),
+        ("i2", ctypes.POINTER(ctypes.c_int64)),
+        ("k", ctypes.POINTER(ctypes.c_int64)),
+        ("jmax", ctypes.POINTER(ctypes.c_int64)),
+        ("split_lo", ctypes.POINTER(ctypes.c_int64)),
+        ("split_hi", ctypes.POINTER(ctypes.c_int64)),
+        ("split_left", ctypes.POINTER(ctypes.c_int64)),
+        ("split_right", ctypes.POINTER(ctypes.c_int64)),
+        ("right_end", ctypes.POINTER(ctypes.c_int64)),
+        ("mask_words", ctypes.c_int64),
+        ("mask", ctypes.POINTER(ctypes.c_uint64)),
+        ("plane", ctypes.POINTER(ctypes.c_int64)),
+        ("cost", ctypes.POINTER(ctypes.c_double)),
+        ("win", ctypes.POINTER(ctypes.c_int64)),
+        ("states_computed", ctypes.c_int64),
         ("memo_hits", ctypes.c_int64),
+        ("hall_pruned", ctypes.c_int64),
         ("dominance_dropped", ctypes.c_int64),
+        ("plans_built", ctypes.c_int64),
         ("peak_depth", ctypes.c_int64),
     ]
 
@@ -117,25 +140,46 @@ def _cache_dirs() -> List[str]:
 def _open(path: str) -> Optional[ctypes.CDLL]:
     try:
         lib = ctypes.CDLL(path)
-        evaluate = lib.dp_evaluate
+        solve, release = lib.dp_solve, lib.dp_release
     except (OSError, AttributeError):
         return None
-    evaluate.argtypes = [ctypes.POINTER(DPRun)]
-    evaluate.restype = ctypes.c_int
+    solve.argtypes = release.argtypes = [ctypes.POINTER(DPRun)]
+    solve.restype = ctypes.c_int
+    release.restype = None
     return lib
+
+
+def _run(argv: List[str], capture: bool = False) -> Optional[subprocess.CompletedProcess]:
+    """Run a compiler command; ``None`` when it cannot start or overruns.
+
+    An overrun kills the command's whole process group, so a wrapper that
+    hangs (waiting on a remote cache, say) takes its children with it.
+    """
+    out = subprocess.PIPE if capture else subprocess.DEVNULL
+    try:
+        proc = subprocess.Popen(
+            argv, stdin=subprocess.DEVNULL, stdout=out, stderr=subprocess.DEVNULL,
+            text=capture, start_new_session=True,
+        )
+    except OSError:
+        return None
+    try:
+        stdout, _ = proc.communicate(timeout=COMPILE_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except OSError:
+            pass
+        proc.communicate()
+        return None
+    return subprocess.CompletedProcess(argv, proc.returncode, stdout)
 
 
 def _compile(compiler: List[str], tmp: str, path: str) -> Optional[ctypes.CDLL]:
     """Build into ``tmp`` and publish it atomically as ``path``."""
     try:
-        done = subprocess.run(
-            [*compiler, *_FLAGS, "-o", tmp, _SOURCE],
-            stdin=subprocess.DEVNULL,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            check=False,
-        )
-        if done.returncode != 0:
+        done = _run([*compiler, *_FLAGS, "-o", tmp, _SOURCE])
+        if done is None or done.returncode != 0:
             return None
         os.replace(tmp, path)
     except OSError:
@@ -188,15 +232,8 @@ def compiler_id() -> Optional[str]:
     compiler = _compiler()
     if load() is None or compiler is None:
         return None
-    try:
-        done = subprocess.run(
-            [compiler[0], "--version"],
-            stdin=subprocess.DEVNULL,
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-    except OSError:
-        return None
+    done = _run([compiler[0], "--version"], capture=True)
+    if done is None:
+        return os.path.basename(compiler[0])
     lines = done.stdout.strip().splitlines()
     return lines[0] if lines else os.path.basename(compiler[0])

@@ -35,10 +35,11 @@ Three evaluators share the objectives:
   incrementally (released-job lists extend their length-minus-one
   predecessor; split counts come from a two-pointer merge instead of
   per-column bisects).
-* :class:`CompiledDPEngine` (**v4**) is v2 with the whole evaluation
-  pass — split combine, right-end merge and sealing, for both objectives —
-  run by one compiled C kernel (:mod:`repro.core.combine_kernel`) over
-  dense per-node tables; discovery and reconstruction stay v2's.
+* :class:`CompiledDPEngine` (**v4**) runs v2's discovery, leaf tables
+  and evaluation pass — split combine, right-end merge and sealing, for
+  both objectives — in one call of a compiled C kernel
+  (:mod:`repro.core.combine_kernel`), which owns the node graph and dense
+  per-node tables; the root scan and reconstruction stay in Python.
 * :class:`TrampolineDPEngine` (**v1**, kept as a differential reference for
   the tests and the bench) evaluates lazily top-down through an explicit
   stack of suspended generators with a dict memo over packed integer state
@@ -63,7 +64,7 @@ against the frozen pre-engine solvers.
 
 from __future__ import annotations
 
-import ctypes
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
@@ -880,48 +881,38 @@ class IntervalDPEngine:
         stats.states_computed += q_count * self._P * self._P
         return out if any_entry else None
 
-    def _leaf_variant(self, nid: int, kind: int, q: int, b1: int, b2: int):
-        """The objective's ``(label, (cost, choice))`` table of one leaf variant."""
+    def _leaf_tables(self, nid: int, kind: int) -> Optional[List]:
+        """Tables of a single-column or empty-interval node, all variants at once."""
         obj = self.objective
-        columns = self.decomp.columns
-        t1 = columns[self._node_i1[nid]]
-        if kind == _SINGLE:
-            return obj.single_column(
-                self._node_k[nid], q, b1, b2, self._node_jobs_list[nid], t1
-            )
-        return obj.empty_interval(q, b1, b2, t1, columns[self._node_i2[nid]])
-
-    def _leaf_entries(self, nid: int, kind: int):
-        """``(variant index, table)`` of every non-empty variant of one leaf node."""
         P = self._P
+        L = self._labels
+        columns = self.decomp.columns
         k = self._node_k[nid]
+        t1, t2 = columns[self._node_i1[nid]], columns[self._node_i2[nid]]
         mask = self._node_qmask[nid]
-        invalid = self.objective.invalid_state
+        out: List[Optional[Tuple]] = [None] * (P * P * P)
         for q in range(P):
             if not mask >> q & 1:
                 continue
             for b1 in range(P):
-                base = (q * P + b1) * P
                 for b2 in range(P):
-                    if invalid(k, q, b1, b2):
+                    if obj.invalid_state(k, q, b1, b2):
                         continue
-                    table = self._leaf_variant(nid, kind, q, b1, b2)
-                    if table:
-                        yield base + b2, table
-
-    def _leaf_tables(self, nid: int, kind: int) -> Optional[List]:
-        """Tables of a single-column or empty-interval node, all variants at once."""
-        P = self._P
-        L = self._labels
-        out: List[Optional[Tuple]] = [None] * (P * P * P)
-        for vi, table in self._leaf_entries(nid, kind):
-            costs = [_INF] * L
-            choices: List = [None] * L
-            for label, (cost, choice) in table:
-                costs[label] = cost
-                choices[label] = choice
-            out[vi] = [costs, choices]
-        return self._seal(out, bin(self._node_qmask[nid]).count("1"))
+                    if kind == _SINGLE:
+                        table = obj.single_column(
+                            k, q, b1, b2, self._node_jobs_list[nid], t1
+                        )
+                    else:
+                        table = obj.empty_interval(q, b1, b2, t1, t2)
+                    if not table:
+                        continue
+                    costs = [_INF] * L
+                    choices: List = [None] * L
+                    for label, (cost, choice) in table:
+                        costs[label] = cost
+                        choices[label] = choice
+                    out[(q * P + b1) * P + b2] = [costs, choices]
+        return self._seal(out, bin(mask).count("1"))
 
     def _branch_tables(self, nid: int, tables: List) -> Optional[List]:
         """Tables of one branch node: combine child tables over every split."""
@@ -1103,42 +1094,34 @@ class IntervalDPEngine:
 
 
 # ---------------------------------------------------------------------------
-# v4: the evaluation pass in one compiled kernel
+# v4: the whole DP pass in one compiled kernel
 # ---------------------------------------------------------------------------
-class _DenseTables:
-    """Every node's tables of one v4 run, in the kernel's flat layout.
-
-    ``plane[nid * P + q]`` is the offset of node ``nid``'s ``(b1, b2,
-    label)`` plane for ``q`` in ``cost`` / ``win`` (``-1`` when ``q`` is
-    not reachable or the node is pruned); ``win`` holds the kernel's
-    winning-choice codes (see ``combine.c``).
-    """
-
-    __slots__ = ("plane", "cost", "win")
-
-    def __init__(self, plane: array, cost: array, win: array) -> None:
-        self.plane = plane
-        self.cost = cost
-        self.win = win
-
-
 class CompiledDPEngine(IntervalDPEngine):
-    """v4: the bottom-up evaluator with its evaluation pass compiled.
+    """v4: the bottom-up evaluator compiled, from the instance to sealed tables.
 
-    Discovery (demand-driven expansion and q-mask propagation) and the
-    leaf tables are v2's, in Python.  The rest of the evaluation pass —
-    combining child tables over every split of every branch node, the
-    ``t' == t2`` right-end merge, and sealing with the gap objective's
-    dominance prune — runs in one call of the C kernel in ``combine.c``,
-    over dense float tables: one ``P * P * labels`` plane per node and
-    reachable ``q``, with a parallel winner plane.  The kernel reads the
-    objective only through tables built here from the objective's own
-    methods (boundary maps, variant grids, charge matrices), so it serves
-    both objectives, and it reproduces the scalar loop's visit order, tie
-    breaks, float association and counters: values, schedules and stats
-    are byte-identical to :class:`IntervalDPEngine`'s.  Reconstruction
-    decodes the choices on the optimal path from the winner planes; gap
-    values come back as ``int``, power values as ``float``.
+    One call of the C kernel in ``combine.c`` does everything v2 does up
+    to the root scan.  It runs v2's discovery: demand-driven expansion
+    with q-mask propagation, the Hall pre-check, the capacity-gated split
+    plans in candidate-column order and the right-end children.  It writes
+    the leaf tables, then combines child tables over every split of every
+    branch node, applies the ``t' == t2`` right-end merge and seals each
+    node with the gap objective's dominance prune.  Tables are dense
+    floats: one ``P * P * labels`` plane per node and reachable ``q``,
+    with a parallel winner plane.
+
+    The kernel reads the objective only through tables built here from
+    the objective's own methods: leaf values per ``(k <= p, q, b1, b2)``
+    and per idle stretch, boundary maps, variant grids and charge
+    matrices.  So it serves both objectives, and it reproduces the scalar
+    loop's visit order, tie breaks, float association and counters:
+    values, schedules and stats are byte-identical to
+    :class:`IntervalDPEngine`'s.
+
+    The kernel owns the node graph and the tables; they are freed when the
+    engine is collected.  Python keeps the root scan and reconstruction,
+    which decodes the choices on the optimal path from the exported node
+    arrays and winner planes and recomputes the jobs of the leaves on that
+    path.  Gap values come back as ``int``, power values as ``float``.
 
     Raises :class:`RuntimeError` when the kernel is unavailable (no C
     compiler and no cached build); :func:`build_engine` then picks v2.
@@ -1159,106 +1142,101 @@ class CompiledDPEngine(IntervalDPEngine):
             raise ValueError("left_b2_values must be a contiguous range")
         self._left_range = (left[0], left[0] + len(left))
 
-    def _evaluate_all(self) -> None:
-        obj = self.objective
-        P, L = self._P, self._labels
-        PP = P * P
-        stride = PP * L
-        i1s, i2s, ks = self._node_i1, self._node_i2, self._node_k
-        kinds, masks, plans = self._node_kind, self._node_qmask, self._node_plan
-        num = len(i1s)
-        order = sorted(
-            (nid for nid in range(num) if masks[nid]),
-            key=lambda nid: (i2s[nid] - i1s[nid], ks[nid]),
-        )
-        # One plane per (live, unpruned node, reachable q).
-        plane = array("q", [-1]) * (num * P)
-        size = 0
-        reachable = 0
-        for nid in order:
-            bits = masks[nid]
-            reachable += bin(bits).count("1")
-            if kinds[nid] == _PRUNED:
-                continue
-            for q in range(P):
-                if bits >> q & 1:
-                    plane[nid * P + q] = size
-                    size += stride
-        self.stats.states_computed += reachable * PP
-        cost = array("d", [_INF]) * size
-        win = array("q", [0]) * size
-        for nid in order:
-            kind = kinds[nid]
-            if kind == _SINGLE or kind == _EMPTY:
-                for vi, table in self._leaf_entries(nid, kind):
-                    q, rest = divmod(vi, PP)
-                    base = plane[nid * P + q] + rest * L
-                    for label, (value, _choice) in table:
-                        cost[base + label] = value
-        split_lo = array("q", [0])
-        split_left = array("q")
-        split_right = array("q")
-        right_end = array("q", [-1]) * num
-        for nid, plan in enumerate(plans):
-            if plan is not None:
-                for split in plan[1]:
-                    split_left.append(split[1])
-                    split_right.append(split[2])
-                if plan[2] is not None:
-                    right_end[nid] = plan[2]
-            split_lo.append(len(split_left))
-        nonempty = array("B", [0]) * num
-        depth = array("q", [0]) * num
-        branch_ks = {ks[nid] for nid in order if kinds[nid] == _BRANCH}
-        arrays = dict(
-            self._algebra_tables(branch_ks),
-            order=array("q", order),
-            kind=array("B", kinds),
-            i1=array("q", i1s),
-            i2=array("q", i2s),
-            k=array("q", ks),
-            split_lo=split_lo,
-            split_left=split_left,
-            split_right=split_right,
-            right_end=right_end,
-            plane=plane,
-            cost=cost,
-            win=win,
-            nonempty=nonempty,
-            depth=depth,
-        )
+    def _ensure_tables(self) -> None:
+        """Run discovery, the leaf tables and evaluation in one kernel call."""
+        if self._tables is not None:
+            return
+        decomp = self.decomp
+        columns = decomp.columns
+        release_col = array("q")
+        deadline_col = array("q")
+        for j in decomp.deadline_order:
+            job = decomp.jobs[j]
+            release_col.append(decomp.column_index.get(job.release, -1))
+            deadline_col.append(bisect_right(columns, job.deadline) - 1)
+        C = self._C
+        arrays = dict(release_col=release_col, deadline_col=deadline_col)
+        # A pruned root is all discovery finds, and it reads no table.
+        if not self._root_pruned(release_col):
+            # The idle stretch t2 - t1 - 1 of every column pair an
+            # empty-interval node can span, as a row of the empty table.
+            rows: Dict[int, int] = {}
+            empty_row = array("q", [-1]) * (C * C)
+            for i1, t1 in enumerate(columns):
+                for i2 in range(i1 + 1, C):
+                    empty_row[i1 * C + i2] = rows.setdefault(columns[i2] - t1 - 1, len(rows))
+            arrays.update(self._algebra_tables(list(rows)), empty_row=empty_row)
         run = combine_kernel.DPRun(
-            P=P,
-            L=L,
+            P=self._P,
+            L=self._labels,
             lb2_lo=self._left_range[0],
             lb2_hi=self._left_range[1],
-            num_order=len(order),
-            # ``arrays`` keeps every buffer alive across the call.
+            C=C,
+            n=len(decomp.jobs),
+            hall_min_jobs=_HALL_CHECK_MIN_JOBS,
+            # ``arrays`` keeps every input buffer alive across the call.
             **{name: buf.buffer_info()[0] for name, buf in arrays.items()},
         )
-        if self._kernel.dp_evaluate(ctypes.byref(run)) != 0:
-            raise MemoryError("combine kernel could not allocate its working buffers")
-        self.stats.memo_hits += run.memo_hits
-        self.stats.dominance_dropped += run.dominance_dropped
-        if run.peak_depth > self.stats.peak_stack_depth:
-            self.stats.peak_stack_depth = run.peak_depth
-        self._tables = _DenseTables(plane, cost, win)
+        status = self._kernel.dp_solve(run)
+        if status == -1:
+            raise MemoryError("the interval-DP kernel ran out of memory")
+        if status != 0:
+            raise RuntimeError("the kernel's root survived, but no tables were passed")
+        weakref.finalize(self, self._kernel.dp_release, run)
+        stats = self.stats
+        stats.states_computed += run.states_computed
+        stats.memo_hits += run.memo_hits
+        stats.hall_pruned += run.hall_pruned
+        stats.dominance_dropped += run.dominance_dropped
+        stats.plans_built += run.plans_built
+        if run.peak_depth > stats.peak_stack_depth:
+            stats.peak_stack_depth = run.peak_depth
+        self._root_id = 0
+        self._tables = run
 
-    def _algebra_tables(self, branch_ks) -> Dict[str, array]:
+    def _root_pruned(self, release_col: array) -> bool:
+        """Whether discovery prunes the root, by v2's capacity and Hall checks.
+
+        The root holds every job; one released off the candidate columns
+        leaves it short of jobs.
+        """
+        decomp = self.decomp
+        n = len(decomp.jobs)
+        if -1 in release_col or n > self.p * self._C:
+            return True
+        if n < _HALL_CHECK_MIN_JOBS:
+            return False
+        columns = decomp.columns
+        releases = sorted(job.release for job in decomp.jobs)
+        return not _hall_feasible(
+            decomp.jobs, columns, self.p, decomp.deadline_order, releases,
+            columns[0], columns[-1],
+        )
+
+    def _algebra_tables(self, stretches: List[int]) -> Dict[str, array]:
         """The objective's value algebra, tabulated for the kernel.
 
         Every table comes from the objective's own methods, so the kernel
         applies exactly the rules the scalar loop applies.  Variant grids
         (and right-end child variants) are built once per ``grid_key``
-        class of the branch nodes' job counts ``branch_ks``; charge
-        matrices once per candidate column of ``t'``, per "right child
-        touches ``t2``" flag and per ``q``, and only when there is a branch
-        node to read them — a Hall-pruned root needs none of it.
+        class of the job counts ``1..n``; charge matrices once per
+        candidate column of ``t'``, per "right child touches ``t2``" flag
+        and per ``q``.  Leaf values never read the node jobs or the column
+        times beyond the idle stretch, so single-column tables are built
+        once per ``k <= p`` (a single column holds at most ``p`` jobs) and
+        empty-interval tables once per idle stretch in ``stretches``, in
+        that order.
         """
         obj = self.objective
-        P = self._P
+        P, L = self._P, self._labels
         P3 = P * P * P
         n = len(self.decomp.jobs)
+        variants = [
+            (vi, q, b1, b2)
+            for vi, (q, b1, b2) in enumerate(
+                (q, b1, b2) for q in range(P) for b1 in range(P) for b2 in range(P)
+            )
+        ]
         left_b1 = array("q")
         right_b1_hi = array("q")
         for flag in (False, True):
@@ -1271,14 +1249,12 @@ class CompiledDPEngine(IntervalDPEngine):
         grid_of_k = array("q", [0]) * (n + 1)
         valid = array("B")
         right_end_vi = array("q")
-        for k in sorted(branch_ks):
+        for k in range(1, n + 1):
             key = grid_key(k) if grid_key is not None else k
             row = rows.get(key)
             if row is None:
                 row = rows[key] = len(rows)
-                for vi in range(P3):
-                    q, rest = divmod(vi, P * P)
-                    b1, b2 = divmod(rest, P)
+                for _vi, q, b1, b2 in variants:
                     valid.append(
                         not (obj.invalid_state(k, q, b1, b2)
                              or obj.pre_branch_invalid(k, b1, b2))
@@ -1289,11 +1265,11 @@ class CompiledDPEngine(IntervalDPEngine):
                         else (child[0] * P + child[1]) * P + child[2]
                     )
             grid_of_k[k] = row
-        columns = self.decomp.columns if branch_ks else ()
+        columns = self.decomp.columns
         charges = array("d")
         charge_pos: Dict[int, int] = {}
         matrices = []  # keeps every matrix alive, so ids stay unique
-        charge_of = array("q", [0]) * (len(self.decomp.columns) * 2 * P)
+        charge_of = array("q", [0]) * (len(columns) * 2 * P)
         for ci in range(len(columns) - 1):
             gap = columns[ci + 1] - columns[ci]
             for flag in (False, True):
@@ -1306,6 +1282,19 @@ class CompiledDPEngine(IntervalDPEngine):
                         for row_values in matrix:
                             charges.extend(row_values)
                     charge_of[(ci * 2 + flag) * P + q] = pos
+        invalid = obj.invalid_state
+        single = array("d", [_INF]) * (P * P3 * L)
+        for k in range(P):
+            for vi, q, b1, b2 in variants:
+                if not invalid(k, q, b1, b2):
+                    for label, (value, _choice) in obj.single_column(k, q, b1, b2, (), None):
+                        single[(k * P3 + vi) * L + label] = value
+        empty = array("d", [_INF]) * (len(stretches) * P3 * L)
+        live = [entry for entry in variants if not invalid(0, *entry[1:])]
+        for row, stretch in enumerate(stretches):
+            for vi, q, b1, b2 in live:
+                for label, (value, _choice) in obj.empty_interval(q, b1, b2, 0, stretch + 1):
+                    empty[(row * P3 + vi) * L + label] = value
         return dict(
             left_b1=left_b1,
             right_b1_hi=right_b1_hi,
@@ -1314,6 +1303,8 @@ class CompiledDPEngine(IntervalDPEngine):
             grid_of_k=grid_of_k,
             charges=charges,
             charge_of=charge_of,
+            single=single,
+            empty=empty,
         )
 
     def _slot(self, nid: int, vi: int, label: int) -> int:
@@ -1336,33 +1327,45 @@ class CompiledDPEngine(IntervalDPEngine):
         ]
 
     def _choice(self, nid: int, vi: int, label: int):
+        run = self._tables
         slot = self._slot(nid, vi, label)
-        if slot < 0 or self._tables.cost[slot] == _INF:
+        if slot < 0 or run.cost[slot] == _INF:
             return None
+        obj = self.objective
+        columns = self.decomp.columns
         P, L = self._P, self._labels
         q, rest = divmod(vi, P * P)
         b1, b2 = divmod(rest, P)
-        kind = self._node_kind[nid]
+        kind, i1, i2, k = run.kind[nid], run.i1[nid], run.i2[nid], run.k[nid]
         if kind != _BRANCH:
-            for lab, (_cost, choice) in self._leaf_variant(nid, kind, q, b1, b2):
+            if kind == _SINGLE:
+                table = obj.single_column(
+                    k, q, b1, b2, self._released(i1, i2)[:k], columns[i1]
+                )
+            else:
+                table = obj.empty_interval(q, b1, b2, columns[i1], columns[i2])
+            for lab, (_cost, choice) in table:
                 if lab == label:
                     return choice
             return None
-        jmax, splits, right_end_id = self._node_plan[nid]
-        code = self._tables.win[slot]
+        jmax = self.decomp.deadline_order[run.jmax[nid]]
+        code = run.win[slot]
         if code < 0:
-            cq, cb1, cb2 = self.objective.right_end_child(self._node_k[nid], q, b1, b2)
-            t2 = self.decomp.columns[self._node_i2[nid]]
-            return ("right_end", right_end_id, (cq * P + cb1) * P + cb2, label, jmax, t2)
+            cq, cb1, cb2 = obj.right_end_child(k, q, b1, b2)
+            return (
+                "right_end", run.right_end[nid], (cq * P + cb1) * P + cb2, label,
+                jmax, columns[i2],
+            )
         code, lr = divmod(code, L)
         code, ll = divmod(code, L)
         code, rb1 = divmod(code, P)
         s, lb2 = divmod(code, P)
-        t_prime, left_id, right_id = splits[s][:3]
-        at_edge = t_prime == self.decomp.columns[self._node_i1[nid]]
-        lb1 = self.objective.left_boundary(b1, at_edge)
+        split = run.split_lo[nid] + s
+        left_id, right_id = run.split_left[split], run.split_right[split]
+        ci = run.i2[left_id]
+        lb1 = obj.left_boundary(b1, ci == i1)
         return (
-            "split", jmax, t_prime,
+            "split", jmax, columns[ci],
             left_id, (P + lb1) * P + lb2, ll,
             right_id, (q * P + rb1) * P + b2, lr,
         )

@@ -106,10 +106,17 @@ def publish_incumbent(make_payload: Callable[[], Any]) -> bool:
 
 
 def _current_config() -> Dict[str, Any]:
-    """Snapshot of the parent config workers must mirror."""
+    """Snapshot of the parent config workers must mirror.
+
+    Workers apply ``cache_dir`` when it changes.  They cannot apply
+    ``registry``, the solver registry's fingerprint: a worker sees the
+    solvers registered when it forked, so the pool retires idle workers
+    forked under another registry (see :meth:`WorkerPool.acquire`).
+    """
+    from ..api.registry import registry_fingerprint
     from .diskcache import disk_cache_dir
 
-    return {"cache_dir": disk_cache_dir()}
+    return {"cache_dir": disk_cache_dir(), "registry": registry_fingerprint()}
 
 
 def _apply_config(config: Dict[str, Any]) -> None:
@@ -180,6 +187,8 @@ class _Worker:
 
     def __init__(self, context) -> None:
         self.id = next(self._ids)
+        #: The solver registry this worker inherits when it forks.
+        self.registry = _current_config()["registry"]
         self.conn, child_conn = context.Pipe(duplex=True)
         # Deliberately non-daemonic: pool tasks may themselves fan out
         # through nested backends (decomposed component solves under
@@ -265,18 +274,30 @@ class WorkerPool:
         return worker
 
     def acquire(self, count: int) -> List[_Worker]:
-        """Reserve ``count`` workers (warm ones first, spawning the rest)."""
+        """Reserve ``count`` workers (warm ones first, spawning the rest).
+
+        Warm workers forked before a solver was registered or removed are
+        retired instead of reused, so every worker runs the current
+        registry.
+        """
         if count < 1:
             raise ValueError(f"must acquire at least one worker, got {count}")
+        registry = _current_config()["registry"]
         workers: List[_Worker] = []
+        retired: List[_Worker] = []
         with self._lock:
             while self._idle and len(workers) < count:
                 worker = self._idle.pop()
-                if worker.alive():
-                    workers.append(worker)
-                else:  # died while idle; replace it outside the lock
+                if not worker.alive():  # died while idle; replace it below
                     self._reaped += 1
+                elif worker.registry != registry:
+                    self._reaped += 1
+                    retired.append(worker)
+                else:
+                    workers.append(worker)
             self._acquired += count
+        for worker in retired:
+            worker.stop()
         while len(workers) < count:
             workers.append(self._spawn())
         return workers

@@ -1,18 +1,22 @@
 """Differential and cache-correctness suite for the compiled (v4) engine.
 
-The compiled combine kernel carries a byte-identity contract with the v2
-scalar evaluator (same costs bit-for-bit, same choices, same counters), so
+The compiled kernel carries a byte-identity contract with the v2 scalar
+evaluator (same costs bit-for-bit, same choices, same counters), so
 everything here compares *exact* equality — never approximate: the façade
 envelopes with the kernel loaded (v4) and made unavailable (v2), the v1
 trampoline at engine level, hypothesis sweeps at p = 1..4 on both
 objectives, fixed large cases the brute-force oracles cannot reach, the
-v2 fallback, the disk-cache replay of engine metadata across a simulated
-process boundary, and the kernel's build cache across real processes.
+kernel's node graph against v2's Python discovery, the release of the
+kernel's buffers, the v2 fallback (also behind a hung compiler), the
+disk-cache replay of engine metadata across a simulated process boundary,
+and the kernel's build cache across real processes.
 
 Tests that need the kernel skip on hosts without a C compiler; the
 fallback tests run everywhere.
 """
 
+import functools
+import gc
 import json
 import os
 import random
@@ -268,11 +272,187 @@ class TestLargeCases:
         outcome = assert_identical(instance, make)
         assert outcome.feasible
 
+    def test_times_beyond_64_bits(self):
+        # The kernel never sees column times, only their indices.
+        base = 10**20
+        instance = MultiprocessorInstance.from_pairs(
+            [(base, base + 2), (base + 1, base + 5), (3, 4), (base + 4, base + 4)],
+            num_processors=2,
+        )
+        for make in (lambda: GapObjective(2), lambda: PowerObjective(2, 1.5)):
+            assert assert_identical(instance, make).feasible
+
     def test_many_processors(self):
         # The kernel sizes everything from P = p + 1 at run time: no cap.
         instance = planted_instance(3, 40, 16, 5, 3)
         for make in (lambda: GapObjective(16), lambda: PowerObjective(16, 1.5)):
             assert assert_identical(instance, make).feasible
+
+
+# ---------------------------------------------------------------------------
+# the kernel's node graph against v2's Python discovery
+# ---------------------------------------------------------------------------
+def v2_node_graph(instance, objective):
+    """``(i1, i2, k) -> (kind, q-mask, jmax, splits, right-end child)`` of v2.
+
+    Only live nodes (a non-empty q-mask) are listed; splits are ``(t',
+    left key, right key)`` in the engine's candidate-column order.
+    """
+    engine = IntervalDPEngine(build_decomp(instance), objective)
+    engine._ensure_tables()
+    keys = list(zip(engine._node_i1, engine._node_i2, engine._node_k))
+    graph = {}
+    for nid, key in enumerate(keys):
+        if not engine._node_qmask[nid]:
+            continue
+        plan = engine._node_plan[nid]
+        jmax = splits = right_end = None
+        if plan is not None:
+            jmax, plan_splits, right_end_id = plan
+            splits = tuple((t, keys[left], keys[right]) for t, left, right, *_ in plan_splits)
+            right_end = None if right_end_id is None else keys[right_end_id]
+        graph[key] = (engine._node_kind[nid], engine._node_qmask[nid], jmax, splits, right_end)
+    return graph
+
+
+def v4_node_graph(instance, objective):
+    """The same view of the node graph the kernel exports."""
+    decomp = build_decomp(instance)
+    engine = CompiledDPEngine(decomp, objective)
+    engine._ensure_tables()
+    run = engine._tables
+    keys = [(run.i1[nid], run.i2[nid], run.k[nid]) for nid in range(run.num_nodes)]
+    words = run.mask_words
+    graph = {}
+    for nid, key in enumerate(keys):
+        mask = sum(run.mask[nid * words + w] << (64 * w) for w in range(words))
+        if not mask:
+            continue
+        jmax = splits = right_end = None
+        if run.kind[nid] == 3:  # branch
+            jmax = decomp.deadline_order[run.jmax[nid]]
+            splits = tuple(
+                (decomp.columns[run.i2[run.split_left[s]]],
+                 keys[run.split_left[s]], keys[run.split_right[s]])
+                for s in range(run.split_lo[nid], run.split_hi[nid])
+            )
+            if run.right_end[nid] >= 0:
+                right_end = keys[run.right_end[nid]]
+        graph[key] = (run.kind[nid], mask, jmax, splits, right_end)
+    return graph
+
+
+def assert_same_node_graph(instance, make_objective):
+    expected = v2_node_graph(instance, make_objective())
+    assert expected
+    assert v4_node_graph(instance, make_objective()) == expected
+
+
+@needs_kernel
+class TestNodeGraph:
+    @FAST
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        num_jobs=st.integers(min_value=1, max_value=12),
+        num_processors=st.integers(min_value=1, max_value=4),
+        objective=st.sampled_from(["gaps", "power"]),
+    )
+    def test_matches_v2_discovery(self, seed, num_jobs, num_processors, objective):
+        # Unplanted windows: infeasible instances and Hall-pruned nodes too.
+        rng = random.Random(seed)
+        jobs = []
+        for _ in range(num_jobs):
+            release = rng.randrange(10)
+            jobs.append(Job(release=release, deadline=min(9, release + rng.randrange(4))))
+        instance = MultiprocessorInstance(jobs, num_processors)
+        make = {
+            "gaps": lambda: GapObjective(num_processors),
+            "power": lambda: PowerObjective(num_processors, 1.5),
+        }[objective]
+        assert_same_node_graph(instance, make)
+
+    @pytest.mark.parametrize(
+        "num_jobs,num_processors,horizon,max_window",
+        # n = 100 at window share 0.25 of a 75-column horizon; p = 16
+        [(100, 3, 75, 18), (40, 16, 5, 3)],
+        ids=["n100-p3-narrow", "n40-p16"],
+    )
+    @pytest.mark.parametrize("objective", ["gaps", "power"])
+    def test_large_cases(self, num_jobs, num_processors, horizon, max_window, objective):
+        instance = planted_instance(7, num_jobs, num_processors, horizon, max_window)
+        make = {
+            "gaps": lambda: GapObjective(num_processors),
+            "power": lambda: PowerObjective(num_processors, 2.5),
+        }[objective]
+        assert_same_node_graph(instance, make)
+
+    @pytest.mark.parametrize(
+        "pairs,num_processors,feasible",
+        [
+            # a Hall-pruned node below a feasible root
+            ([(0, 2), (7, 9), (4, 7), (5, 6), (2, 4), (2, 2),
+              (4, 5), (4, 4), (1, 3), (7, 7), (5, 8), (5, 6)], 2, True),
+            # three jobs due by column 1: the prefix count prunes the root
+            ([(0, 1), (0, 1), (0, 1), (2, 6), (3, 6)], 1, False),
+        ],
+        ids=["below-root", "root-prefix"],
+    )
+    def test_hall_pruned_nodes(self, pairs, num_processors, feasible):
+        instance = MultiprocessorInstance.from_pairs(pairs, num_processors=num_processors)
+        make = functools.partial(GapObjective, num_processors)
+        assert_same_node_graph(instance, make)
+        outcome = assert_identical(instance, make)
+        assert outcome.feasible == feasible
+        assert outcome.stats.hall_pruned == 1
+
+
+_OUT_OF_MEMORY = """
+import json, resource, sys
+from repro.core.dp_profile import IntervalDecomposition
+from repro.core.interval_dp import CompiledDPEngine, GapObjective
+from repro.core.jobs import Job, MultiprocessorInstance
+jobs = [Job(release=t % 40, deadline=t % 40 + t % 7) for t in range(100)]
+engine = CompiledDPEngine(IntervalDecomposition(MultiprocessorInstance(jobs, 5)), GapObjective(5))
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize")) * 1024
+# about 8 MB of headroom; the kernel's tables for this instance need over 100 MB
+resource.setrlimit(resource.RLIMIT_AS, (size + 8 * 2**20, resource.RLIM_INFINITY))
+try:
+    engine.solve()
+    outcome = "solved"
+except MemoryError:
+    outcome = "MemoryError"
+print(json.dumps({"outcome": outcome, "tables": engine._tables is not None}))
+"""
+
+
+@needs_kernel
+class TestKernelBuffers:
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status")
+        or "asan" in os.environ.get("LD_PRELOAD", ""),
+        reason="needs /proc and the libc allocator (ASan aborts instead of failing)",
+    )
+    def test_out_of_memory_raises_and_keeps_nothing(self):
+        done = subprocess.run(
+            [sys.executable, "-c", _OUT_OF_MEMORY],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"outcome": "MemoryError", "tables": False}
+
+    def test_released_when_the_engine_is_dropped(self):
+        instance = planted_instance(1, 20, 2, 14, 6)
+        engine = CompiledDPEngine(build_decomp(instance), GapObjective(2))
+        assert engine.solve().feasible
+        run = engine._tables
+        assert run.num_nodes > 0
+        assert run.cost and run.win and run.plane and run.i1 and run.mask
+        del engine
+        gc.collect()
+        assert run.num_nodes == 0
+        assert not (run.cost or run.win or run.plane or run.i1 or run.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +499,39 @@ class TestForcedFallback:
     def test_missing_compiler_means_no_kernel(self, monkeypatch):
         monkeypatch.setenv("CC", "repro-no-such-compiler")
         assert combine_kernel._build_and_load() is None
+
+
+_HUNG_BUILD = """
+import json, sys, time
+from repro.core import combine_kernel
+from repro.core.dp_profile import IntervalDecomposition
+from repro.core.interval_dp import GapObjective, build_engine
+from repro.core.jobs import MultiprocessorInstance
+combine_kernel._cache_dirs = lambda: [sys.argv[1]]
+combine_kernel.COMPILE_TIMEOUT_S = 0.5
+instance = MultiprocessorInstance.from_pairs([(0, 2), (1, 3)], num_processors=1)
+start = time.monotonic()
+engine = build_engine(IntervalDecomposition(instance), GapObjective(1))
+print(json.dumps({"engine": type(engine).__name__, "seconds": time.monotonic() - start}))
+"""
+
+
+class TestHungCompiler:
+    def test_hung_compiler_is_killed_and_v2_runs(self, tmp_path):
+        compiler = tmp_path / "hung-cc"
+        compiler.write_text("#!/bin/sh\nsleep 300\n")
+        compiler.chmod(0o755)
+        cache = tmp_path / "cache"
+        env = dict(os.environ, PYTHONPATH=SRC, CC=str(compiler))
+        done = subprocess.run(
+            [sys.executable, "-c", _HUNG_BUILD, str(cache)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["engine"] == "IntervalDPEngine"
+        assert result["seconds"] < 10
+        assert not [name for name in os.listdir(cache) if name.startswith(".combine-")]
 
 
 # ---------------------------------------------------------------------------

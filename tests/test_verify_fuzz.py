@@ -168,6 +168,32 @@ class TestCorpus:
             _REGISTRY.pop(name, None)
 
 
+    def test_warm_pool_runs_a_solver_registered_after_it_forked(self):
+        # Warm the process pool first: its workers fork without the solver.
+        fuzz(seed=1, n=4, metamorphic=False, backend="process")
+        name = "test-late-crashing-solver"
+
+        @register_solver(
+            name,
+            objective="gaps",
+            kind="exact",
+            instance_types=(OneIntervalInstance,),
+        )
+        def _crash(problem):
+            raise IndexError("synthetic solver crash")
+
+        try:
+            process = fuzz(seed=0, n=12, metamorphic=False, backend="process")
+            serial = fuzz(seed=0, n=12, metamorphic=False, backend="serial")
+        finally:
+            _REGISTRY.pop(name, None)
+        assert any(f.kind == "crash" for f in serial.failures)
+        assert process.summary() == serial.summary()
+        assert [f.to_dict() for f in process.failures] == [
+            f.to_dict() for f in serial.failures
+        ]
+
+
 class TestGeneratorFamilies:
     def test_structured_fuzzers_are_reachable(self):
         seen = set()
